@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import CubeMap
+from .cube import CubeMap, split_coordinates
 from .homsets import factorize
 
 
@@ -28,16 +28,12 @@ def t_eval_batch(f: CubeMap, pts: np.ndarray, denominator: int = 1) -> np.ndarra
     if f.is_endo():
         return _maxmin_batch(f, pts)
     fac = factorize(f)
-    inner = _maxmin_batch(fac.psi, pts) if f.dom_dim else pts[:, :0]
-    lo, hi = fac.phi.table[0], fac.phi.table[-1]
+    free, consts = split_coordinates(fac.phi.table[0], fac.phi.table[-1], f.cod_dim)
     out = np.empty((pts.shape[0], f.cod_dim), dtype=pts.dtype)
-    k = 0
-    for pos in range(f.cod_dim):
-        if ((lo ^ hi) >> pos) & 1:
-            out[:, pos] = inner[:, k]
-            k += 1
-        else:
-            out[:, pos] = denominator if (lo >> pos) & 1 else 0
+    if free:
+        out[:, list(free)] = _maxmin_batch(fac.psi, pts)
+    for pos, alpha in consts:
+        out[:, pos] = denominator * alpha
     return out
 
 

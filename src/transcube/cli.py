@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dom", type=int, required=True)
     p.add_argument("--cod", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["literal", "json"], default="literal")
+    p.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("factor", help="endomap/coface factorization of a map literal")

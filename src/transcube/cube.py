@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 #: Absorbing infinite value of the directed distance.
@@ -35,11 +36,38 @@ def bits_leq(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
-def insert_bit(bits: int, pos: int, value: int) -> int:
-    """Insert ``value`` at bit position ``pos`` (0-based), shifting higher bits up."""
-    low = bits & ((1 << pos) - 1)
-    high = bits >> pos
-    return low | (value << pos) | (high << (pos + 1))
+@lru_cache(maxsize=4096)
+def split_coordinates(lo: int, hi: int, n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Free and constant coordinates of the face of ``[n]`` spanned by ``lo <= hi``.
+
+    The free positions (0-based) are those where the two vertices differ, in
+    increasing order; every other position is constant at the value the two
+    share and is reported as ``(position, value)``.  This is the one rule
+    that places the coordinates of a coface composite: its free positions
+    carry the source coordinates in order, the rest are constant 0 or 1.
+    """
+    free: list[int] = []
+    consts: list[tuple[int, int]] = []
+    for pos in range(n):
+        if ((lo ^ hi) >> pos) & 1:
+            free.append(pos)
+        else:
+            consts.append((pos, (lo >> pos) & 1))
+    return tuple(free), tuple(consts)
+
+
+def coface_table(base: int, free: tuple[int, ...]) -> tuple[int, ...]:
+    """Table of the coface composite ``[len(free)] -> [n]`` that puts source
+    coordinate ``k`` at position ``free[k]`` and holds every other position at
+    its value in ``base``, which must be 0 on the free positions.
+
+    Entry by entry, :func:`extract_bits` with the same positions inverts it.
+    """
+    table = [base]
+    for pos in free:
+        bit = 1 << pos
+        table += [w | bit for w in table]
+    return tuple(table)
 
 
 def extract_bits(bits: int, positions: tuple[int, ...]) -> int:
@@ -272,7 +300,7 @@ def coface(i: int, alpha: int, n: int) -> CubeMap:
         raise ValueError(f"coface index {i} out of range for [{n}]")
     if alpha not in (0, 1):
         raise ValueError("coface value must be 0 or 1")
-    return CubeMap(n - 1, n, tuple(insert_bit(x, i - 1, alpha) for x in range(1 << (n - 1))))
+    return CubeMap(n - 1, n, coface_table(alpha << (i - 1), tuple(p for p in range(n) if p != i - 1)))
 
 
 def symmetry(i: int, n: int) -> CubeMap:

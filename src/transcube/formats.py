@@ -40,17 +40,6 @@ def parse_precubical(data: dict) -> Precubical:
     return Precubical(max_dim, cubes, faces)
 
 
-def precubical_to_dict(k: Precubical) -> dict:
-    faces: dict[str, dict[str, int]] = {}
-    for (c, i, alpha), target in sorted(k.faces.items()):
-        faces.setdefault(str(c), {})[f"{i},{alpha}"] = target
-    return {
-        "max_dim": k.max_dim,
-        "cubes": {str(n): list(ids) for n, ids in sorted(k.cubes.items())},
-        "faces": faces,
-    }
-
-
 def parse_script(data: list) -> list[dict]:
     script = []
     for entry in data:

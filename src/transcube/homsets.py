@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .cube import CubeMap, bit_height, compose
+from .cube import CubeMap, bit_height, coface, coface_table, compose, extract_bits, split_coordinates
 
 DEFAULT_BUDGET = 10_000_000
 _BUDGET_ENV = "TRANSCUBE_BUDGET"
@@ -136,27 +136,49 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
     return tuple(CubeMap(m, n, t) for t in tables)
 
 
+def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
+    """Every composable pair ``(f: [m] -> [n], g: [n] -> [p])`` with
+    ``m <= n <= p <= top``, ordered by ``m``, ``n``, ``p``, then ``f``, then ``g``."""
+    return [
+        (f, g)
+        for m in range(top + 1)
+        for n in range(m, top + 1)
+        for p in range(n, top + 1)
+        for f in enumerate_homset(m, n)
+        for g in enumerate_homset(n, p)
+    ]
+
+
+@lru_cache(maxsize=16)
+def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, CubeMap], ...]:
+    """The maps whose actions determine every action, up to ``[max_dim]``.
+
+    For each ``1 <= n <= max_dim``: the elementary cofaces into ``[n]`` by
+    ``(n, i, alpha)``, then the endomaps of ``[n]`` in enumeration order.
+    Entries are ``(key, u)`` with key ``(n, i, alpha)`` for a coface and
+    ``None`` for an endomap.  Every map is an endomap followed by a composite
+    of cofaces, which is why acting by these few maps determines the rest.
+    """
+    family: list[tuple[tuple[int, int, int] | None, CubeMap]] = []
+    for n in range(1, max_dim + 1):
+        family += [((n, i, a), coface(i, a, n)) for i in range(1, n + 1) for a in (0, 1)]
+        family += [(None, e) for e in enumerate_homset(n, n)]
+    return tuple(family)
+
+
 @lru_cache(maxsize=None)
 def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
     """All coface composites ``[m] -> [n]``: choose the m free coordinates and
     the constant value of each remaining one.  Lexicographic table order."""
     if m > n:
         return ()
-    tables = []
-    for free in combinations(range(n), m):
-        fixed = [i for i in range(n) if i not in free]
-        for consts in range(1 << (n - m)):
-            base = 0
-            for k, i in enumerate(fixed):
-                base |= ((consts >> k) & 1) << i
-            table = []
-            for x in range(1 << m):
-                w = base
-                for k, i in enumerate(free):
-                    w |= ((x >> k) & 1) << i
-                table.append(w)
-            tables.append(tuple(table))
-    tables.sort()
+    # The constants of the fixed coordinates range over the table of the
+    # coface that inserts them into the all-zero base.
+    tables = sorted(
+        coface_table(base, free)
+        for free in combinations(range(n), m)
+        for base in coface_table(0, tuple(i for i in range(n) if i not in free))
+    )
     return tuple(CubeMap(m, n, t) for t in tables)
 
 
@@ -200,24 +222,12 @@ def factorize(f: CubeMap) -> Factorization:
     Results are memoised: normal forms are requested constantly downstream.
     """
     m, n = f.dom_dim, f.cod_dim
-    lo, hi = f.table[0], f.table[-1]
-    free = tuple(i for i in range(n) if ((lo ^ hi) >> i) & 1)
+    lo = f.table[0]
+    free, _ = split_coordinates(lo, f.table[-1], n)
     if len(free) != m:
         raise ValueError("map does not span a face of the expected dimension")
-
-    psi_table = []
-    for x in range(1 << m):
-        fx = f.table[x]
-        psi_table.append(sum(((fx >> pos) & 1) << k for k, pos in enumerate(free)))
-    psi = CubeMap(m, m, tuple(psi_table))
-
-    phi_table = []
-    for x in range(1 << m):
-        w = lo
-        for k, pos in enumerate(free):
-            w |= ((x >> k) & 1) << pos
-        phi_table.append(w)
-    phi = CubeMap(m, n, tuple(phi_table))
+    psi = CubeMap(m, m, tuple(extract_bits(fx, free) for fx in f.table))
+    phi = CubeMap(m, n, coface_table(lo, free))
 
     if compose(phi, psi).table != f.table:
         raise ValueError(f"factorization failed to reconstruct {f.literal()}")
@@ -235,15 +245,8 @@ def decompose_coface(phi: CubeMap) -> tuple[tuple[int, int, int], ...]:
     """
     if not is_coface(phi):
         raise ValueError(f"{phi.literal()} is not a composite of cofaces")
-    m, n = phi.dom_dim, phi.cod_dim
-    lo, hi = phi.table[0], phi.table[-1]
-    steps = []
-    dim = m
-    for pos in range(n):
-        if not ((lo ^ hi) >> pos) & 1:
-            dim += 1
-            steps.append((dim, pos + 1, (lo >> pos) & 1))
-    return tuple(steps)
+    _, consts = split_coordinates(phi.table[0], phi.table[-1], phi.cod_dim)
+    return tuple((phi.dom_dim + k + 1, pos + 1, alpha) for k, (pos, alpha) in enumerate(consts))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cube import CubeMap, Vertex, bit_height, bits_leq, compose
+from .cube import CubeMap, Vertex, bits_leq, coface_table, compose, split_coordinates
 from .homsets import factorize
 from .topo import point_height, t_eval
 
@@ -218,12 +218,6 @@ class DPath:
         return sum((seg.duration for _, seg in self.legs), Fraction(0))
 
 
-def _vertex_id(sts, cube_id: int, bits: int) -> int:
-    """Vertex of a cube as a vertex of the ambient symmetric transverse set."""
-    dim = sts.dim_of[cube_id]
-    return sts.act(CubeMap(0, dim, (bits,)), cube_id)
-
-
 def dpath_endpoints(sts, p: DPath) -> tuple[int, int]:
     """Initial and final vertex ids of a multi-cube path."""
     first_cube, first = p.legs[0]
@@ -232,7 +226,7 @@ def dpath_endpoints(sts, p: DPath) -> tuple[int, int]:
     b = _vertex_bits(last.end)
     if a is None or b is None:
         raise ValueError("legs must start and end at vertices")
-    return _vertex_id(sts, first_cube, a), _vertex_id(sts, last_cube, b)
+    return sts.vertex_of(first_cube, a), sts.vertex_of(last_cube, b)
 
 
 def validate_dpath(sts, p: DPath) -> None:
@@ -245,8 +239,8 @@ def validate_dpath(sts, p: DPath) -> None:
         if not report:
             raise ValueError(f"leg is not a directed path: {report.reason}")
     for (c1, s1), (c2, s2) in zip(p.legs, p.legs[1:]):
-        end = _vertex_id(sts, c1, _vertex_bits(s1.end))
-        start = _vertex_id(sts, c2, _vertex_bits(s2.start))
+        end = sts.vertex_of(c1, _vertex_bits(s1.end))
+        start = sts.vertex_of(c2, _vertex_bits(s2.start))
         if end != start:
             raise ValueError("consecutive legs do not meet at a common vertex")
 
@@ -297,16 +291,8 @@ def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
     alpha._check_dim(beta)
     if not (bits_leq(alpha.bits, beta.bits) and alpha.bits != beta.bits):
         raise ValueError(f"{alpha} is not strictly below {beta}")
-    diff = alpha.bits ^ beta.bits
-    k = bit_height(diff)
-    free = [i for i in range(alpha.dim) if (diff >> i) & 1]
-    table = []
-    for x in range(1 << k):
-        w = alpha.bits
-        for j, pos in enumerate(free):
-            w |= ((x >> j) & 1) << pos
-        table.append(w)
-    return CubeMap(k, alpha.dim, tuple(table))
+    free, _ = split_coordinates(alpha.bits, beta.bits, alpha.dim)
+    return CubeMap(len(free), alpha.dim, coface_table(alpha.bits, free))
 
 
 def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:

@@ -22,10 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from .cube import CubeMap, compose
-from .homsets import count_homset, decompose_coface, enumerate_homset, factorize
+from .cube import CubeMap, compose, identity
+from .homsets import (
+    composable_pairs,
+    count_homset,
+    decompose_coface,
+    enumerate_homset,
+    factorize,
+    generating_family,
+)
 from .quotient import QuotientSet
-from .sts import Sts, boundary
+from .sts import Sts, action_tables, boundary, family_table
 
 
 def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
@@ -111,23 +118,16 @@ class CotransverseSetObj:
         return a
 
     def check_functorial(self, exhaustive_dim: int) -> None:
-        from .cube import identity
-
         top = min(self.max_dim, exhaustive_dim)
         for n in range(top + 1):
             for a in self.values[n]:
-                assert self.apply(identity(n), a) == a, "identity action moved a value"
-        for m in range(top + 1):
-            for n in range(m, top + 1):
-                for p2 in range(n, top + 1):
-                    for f in enumerate_homset(m, n):
-                        for g in enumerate_homset(n, p2):
-                            gf = compose(g, f)
-                            for a in self.values[m]:
-                                if self.apply(gf, a) != self.apply(g, self.apply(f, a)):
-                                    raise AssertionError(
-                                        f"covariant functoriality fails at {a!r}"
-                                    )
+                if self.apply(identity(n), a) != a:
+                    raise AssertionError("identity action moved a value")
+        for f, g in composable_pairs(top):
+            gf = compose(g, f)
+            for a in self.values[f.dom_dim]:
+                if self.apply(gf, a) != self.apply(g, self.apply(f, a)):
+                    raise AssertionError(f"covariant functoriality fails at {a!r}")
 
 
 def built_obj(
@@ -136,20 +136,9 @@ def built_obj(
     act: Callable[[CubeMap, Hashable], Hashable],
 ) -> CotransverseSetObj:
     """Materialize the generating-family tables from an action rule."""
-    from .cube import coface as elementary_coface
-
-    vals = {n: tuple(values(n)) for n in range(max_dim + 1)}
-    coface_maps = {}
-    endo_maps: dict[int, dict[CubeMap, dict[Hashable, Hashable]]] = {}
-    for n in range(1, max_dim + 1):
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                delta = elementary_coface(i, alpha, n)
-                coface_maps[(n, i, alpha)] = {a: act(delta, a) for a in vals[n - 1]}
-        endo_maps[n] = {}
-        for e in enumerate_homset(n, n):
-            endo_maps[n][e] = {a: act(e, a) for a in vals[n]}
-    return CotransverseSetObj(max_dim, vals, coface_maps, endo_maps)
+    vals = [tuple(values(n)) for n in range(max_dim + 1)]
+    coface_maps, endo_maps = action_tables(vals, act, contravariant=False)
+    return CotransverseSetObj(max_dim, dict(enumerate(vals)), coface_maps, endo_maps)
 
 
 def constant_obj(points: tuple[Hashable, ...], max_dim: int) -> CotransverseSetObj:
@@ -189,21 +178,14 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
         for a in a_obj.values[n]
     ]
     quot = QuotientSet(elements)
-    for (n, i, alpha), face_table in k_sts.face.items():
-        if n > top:
+    for key, u in generating_family(top):
+        m, n = u.dom_dim, u.cod_dim
+        if not k_sts.cubes[n]:
             continue
-        amap = a_obj.coface_maps[(n, i, alpha)]
-        for c, fc in face_table.items():
-            for a in a_obj.values[n - 1]:
-                quot.identify((n - 1, fc, a), (n, c, amap[a]))
-    for n, by_endo in k_sts.endo.items():
-        if n > top:
-            continue
-        for e, table in by_endo.items():
-            amap = a_obj.endo_maps[n][e]
-            for c, ec in table.items():
-                for a in a_obj.values[n]:
-                    quot.identify((n, ec, a), (n, c, amap[a]))
+        amap = family_table(a_obj.coface_maps, a_obj.endo_maps, key, u)
+        for c, uc in family_table(k_sts.face, k_sts.endo, key, u).items():
+            for a in a_obj.values[m]:
+                quot.identify((m, uc, a), (n, c, amap[a]))
     return quot
 
 
@@ -216,10 +198,6 @@ def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
     reindexing the weight against acting on the value.
     """
     weights: dict[int, QuotientSet] = {p: boundary_hom(p, n, n) for p in range(n)}
-
-    def wclass(p: int, member: tuple) -> tuple:
-        return weights[p].class_of(member)
-
     elements = [
         (p, w, a)
         for p in range(n)
@@ -227,23 +205,16 @@ def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
         for a in a_obj.values[p]
     ]
     quot = QuotientSet(elements)
-    from .cube import coface as elementary_coface
-
-    gens: list[tuple[int, int, CubeMap]] = []  # (src dim, dst dim, map)
-    for p in range(1, n):
-        for i in range(1, p + 1):
-            for alpha in (0, 1):
-                gens.append((p - 1, p, elementary_coface(i, alpha, p)))
-        for e in enumerate_homset(p, p):
-            gens.append((p, p, e))
-    for p_src, p_dst, u in gens:
+    for key, u in generating_family(n - 1):
         # u: [p_src] -> [p_dst] reindexes weights contravariantly and pushes
         # values covariantly: (W(u)w, a) at p_src glues to (w, A(u)a) at p_dst.
+        p_src, p_dst = u.dom_dim, u.cod_dim
+        amap = family_table(a_obj.coface_maps, a_obj.endo_maps, key, u)
         for w in weights[p_dst].representatives():
             m, h, g = w
-            w_src = wclass(p_src, (m, h, compose(g, u)))
+            w_src = weights[p_src].class_of((m, h, compose(g, u)))
             for a in a_obj.values[p_src]:
-                quot.identify((p_src, w_src, a), (p_dst, w, a_obj.apply(u, a)))
+                quot.identify((p_src, w_src, a), (p_dst, w, amap[a]))
     return quot
 
 

@@ -16,10 +16,18 @@ immutable in use: nothing here mutates a built object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .cube import CubeMap, compose, identity
-from .homsets import BudgetExceeded, cell_budget, decompose_coface, enumerate_homset, factorize
+from .homsets import (
+    BudgetExceeded,
+    cell_budget,
+    composable_pairs,
+    decompose_coface,
+    enumerate_homset,
+    factorize,
+    generating_family,
+)
 from .quotient import UnionFind
 
 
@@ -86,104 +94,95 @@ class Sts:
         return self.act(CubeMap(0, self.dim_of[cube_id], (bits,)), cube_id)
 
 
-def check_functoriality(sts: Sts, exhaustive_dim: int = 3, sample: int = 0, seed: int = 0) -> None:
+def check_functoriality(sts: Sts, exhaustive_dim: int = 3) -> None:
     """Assert ``(g o f)^* = f^* o g^*`` and ``id^* = id``.
 
     Exhaustive over all composable pairs with dimensions at most
-    ``exhaustive_dim``; optionally samples higher-dimensional pairs.
-    Raises ``AssertionError`` on the first failure.
+    ``exhaustive_dim``.  Raises ``AssertionError`` on the first failure.
     """
-    import random
-
     top = min(sts.max_dim, exhaustive_dim)
     for n in range(top + 1):
         for c in sts.cubes[n]:
             if sts.act(identity(n), c) != c:
                 raise AssertionError(f"identity action moved cube {c}")
-    pairs = []
-    for m in range(top + 1):
-        for n in range(m, top + 1):
-            for p in range(n, top + 1):
-                for f in enumerate_homset(m, n):
-                    for g in enumerate_homset(n, p):
-                        pairs.append((f, g))
-    for f, g in pairs:
+    for f, g in composable_pairs(top):
         gf = compose(g, f)
         for c in sts.cubes[g.cod_dim]:
             if sts.act(gf, c) != sts.act(f, sts.act(g, c)):
                 raise AssertionError(
                     f"action not functorial on cube {c} for {g.literal()} o {f.literal()}"
                 )
-    if sample and sts.max_dim > top:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            p = sts.max_dim
-            n = rng.randint(0, p)
-            m = rng.randint(0, n)
-            f = rng.choice(enumerate_homset(m, n))
-            g = rng.choice(enumerate_homset(n, p))
-            for c in sts.cubes[p]:
-                assert sts.act(compose(g, f), c) == sts.act(f, sts.act(g, c))
 
 
-def _build(
-    max_dim: int,
-    graded: list[list[object]],
-    coface_act: Callable[[int, int, int, object], object],
-    endo_act: Callable[[int, CubeMap, object], object],
-) -> Sts:
-    """Materialize an Sts from per-dimension element lists and action rules.
+def family_table(face: Mapping, endo: Mapping, key: tuple[int, int, int] | None, u: CubeMap) -> dict:
+    """The stored table of a generator ``(key, u)`` of :func:`generating_family`:
+    ``face[key]`` for an elementary coface, ``endo[n][u]`` for an endomap of
+    ``[n]``.  Contravariant (:class:`Sts`) and covariant
+    (:class:`transcube.reedy.CotransverseSetObj`) actions share this layout."""
+    return endo[u.cod_dim][u] if key is None else face[key]
 
-    Elements may be arbitrary hashable payloads; ids are assigned in grading
-    order and the payloads are kept as labels.  The projected size of the
-    action tables is charged against the cell budget: the endomap monoids
-    grow fast enough that materializing dimension 4 representables would
-    need tens of millions of entries.
+
+def action_tables(
+    graded: Sequence[Sequence[Hashable]],
+    act: Callable[[CubeMap, Hashable], Hashable],
+    contravariant: bool,
+) -> tuple[dict, dict]:
+    """Materialize the action of the generating family from one rule.
+
+    ``graded[n]`` lists the elements of level ``n``.  A generator
+    ``u: [m] -> [n]`` gets the table ``x -> act(u, x)`` over level ``n``
+    when ``contravariant`` (the results lie at level ``m``) and over level
+    ``m`` otherwise (the results lie at level ``n``).  Returns ``(face,
+    endo)`` in the layout read by :func:`family_table`.  The entries about
+    to be written are charged against the cell budget first: the endomap
+    monoids grow fast enough that materializing dimension 4 representables
+    would need tens of millions of entries.
     """
+    family = generating_family(len(graded) - 1)
+    sources = [graded[u.cod_dim if contravariant else u.dom_dim] for _, u in family]
     budget = cell_budget()
-    projected = sum(
-        len(graded[n] if n < len(graded) else [])
-        * (len(enumerate_homset(n, n)) + 2 * n)
-        for n in range(max_dim + 1)
-    )
+    projected = sum(len(level) for level in sources)
     if projected > budget:
         raise BudgetExceeded(
             f"action tables would need {projected} entries, over the budget of {budget}"
         )
-    ids: dict[tuple[int, object], int] = {}
+    face: dict[tuple[int, int, int], dict] = {}
+    endo: dict[int, dict[CubeMap, dict]] = {n: {} for n in range(1, len(graded))}
+    for (key, u), level in zip(family, sources):
+        table = {x: act(u, x) for x in level}
+        if key is None:
+            endo[u.cod_dim][u] = table
+        else:
+            face[key] = table
+    return face, endo
+
+
+def _number(graded: Sequence[Sequence[object]]) -> tuple[dict[int, tuple[int, ...]], dict[int, object]]:
+    """Cube ids in grading order: the ids of each level and the payload of each id."""
     cubes: dict[int, tuple[int, ...]] = {}
     labels: dict[int, object] = {}
-    counter = 0
-    for n in range(max_dim + 1):
-        row = []
-        for x in graded[n] if n < len(graded) else []:
-            ids[(n, x)] = counter
-            labels[counter] = x
-            row.append(counter)
-            counter += 1
-        cubes[n] = tuple(row)
+    for n, row in enumerate(graded):
+        cubes[n] = tuple(range(len(labels), len(labels) + len(row)))
+        labels.update(zip(cubes[n], row))
+    return cubes, labels
 
-    face: dict[tuple[int, int, int], dict[int, int]] = {}
-    endo: dict[int, dict[CubeMap, dict[int, int]]] = {}
-    for n in range(1, max_dim + 1):
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                face[(n, i, alpha)] = {
-                    ids[(n, x)]: ids[(n - 1, coface_act(n, i, alpha, x))]
-                    for x in (graded[n] if n < len(graded) else [])
-                }
-    for n in range(1, max_dim + 1):
-        endo[n] = {}
-        for e in enumerate_homset(n, n):
-            endo[n][e] = {
-                ids[(n, x)]: ids[(n, endo_act(n, e, x))]
-                for x in (graded[n] if n < len(graded) else [])
-            }
-    return Sts(max_dim, cubes, face, endo, labels)
+
+def _build(graded: list[list[object]], act: Callable[[CubeMap, object], object]) -> Sts:
+    """Materialize an Sts from per-dimension payload lists and an action rule.
+
+    Payloads may be arbitrary hashables and are kept as labels; ``act(u, x)``
+    is the payload of the pullback of ``x`` along ``u``.
+    """
+    cubes, labels = _number(graded)
+    ids = {(n, labels[c]): c for n, row in cubes.items() for c in row}
+    face, endo = action_tables(
+        list(cubes.values()), lambda u, c: ids[(u.dom_dim, act(u, labels[c]))], contravariant=True
+    )
+    return Sts(len(graded) - 1, cubes, face, endo, labels)
 
 
 def empty_sts(max_dim: int) -> Sts:
-    return _build(max_dim, [[] for _ in range(max_dim + 1)], lambda *a: None, lambda *a: None)
+    return _build([[] for _ in range(max_dim + 1)], lambda u, x: None)
 
 
 def representable(n: int, max_dim: int | None = None) -> Sts:
@@ -192,18 +191,8 @@ def representable(n: int, max_dim: int | None = None) -> Sts:
     Dimension ``m`` holds the hom-set ``[m] -> [n]`` and every map acts by
     precomposition.  Labels are the hom elements themselves.
     """
-    from .cube import coface as elementary_coface
-
     top = n if max_dim is None else max_dim
-    graded: list[list[object]] = [list(enumerate_homset(m, n)) for m in range(top + 1)]
-
-    def act_coface(dim: int, i: int, alpha: int, g: CubeMap) -> CubeMap:
-        return compose(g, elementary_coface(i, alpha, dim))
-
-    def act_endo(dim: int, e: CubeMap, g: CubeMap) -> CubeMap:
-        return compose(g, e)
-
-    return _build(top, graded, act_coface, act_endo)
+    return _build([list(enumerate_homset(m, n)) for m in range(top + 1)], lambda u, g: compose(g, u))
 
 
 def truncate(sts: Sts, n: int) -> Sts:
@@ -240,22 +229,17 @@ class StsMap:
                 raise ValueError(f"mapping misses cube {c}")
             if self.src.dim_of[c] != self.dst.dim_of[self.mapping[c]]:
                 raise ValueError(f"mapping does not preserve dimension at cube {c}")
-        for (n, i, alpha), table in self.src.face.items():
-            for c, fc in table.items():
-                if self.dst.face[(n, i, alpha)][self.mapping[c]] != self.mapping[fc]:
-                    raise ValueError(f"mapping not equivariant at face of cube {c}")
-        for n, by_endo in self.src.endo.items():
-            for e, table in by_endo.items():
-                for c, ec in table.items():
-                    if self.dst.endo[n][e][self.mapping[c]] != self.mapping[ec]:
-                        raise ValueError(f"mapping not equivariant at endomap of cube {c}")
+        for key, u in generating_family(self.src.max_dim):
+            if not self.src.cubes[u.cod_dim]:
+                continue
+            dst_table = family_table(self.dst.face, self.dst.endo, key, u)
+            for c, uc in family_table(self.src.face, self.src.endo, key, u).items():
+                if dst_table[self.mapping[c]] != self.mapping[uc]:
+                    kind = "endomap" if key is None else "face"
+                    raise ValueError(f"mapping not equivariant at {kind} of cube {c}")
 
     def __call__(self, cube_id: int) -> int:
         return self.mapping[cube_id]
-
-
-def identity_map(sts: Sts) -> StsMap:
-    return StsMap(sts, sts, {c: c for c in sts.all_cubes()})
 
 
 def inclusion_map(sub: Sts, ambient: Sts) -> StsMap:
@@ -361,16 +345,13 @@ def free_sts(k: Precubical) -> Sts:
                 row.append(FreeCell(psi, c))
         graded.append(row)
 
-    from .cube import coface as elementary_coface
-
-    def act_coface(dim: int, i: int, alpha: int, cell: FreeCell) -> FreeCell:
-        fac = factorize(compose(cell.psi, elementary_coface(i, alpha, dim)))
+    def act(u: CubeMap, cell: FreeCell) -> FreeCell:
+        if u.dom_dim == u.cod_dim:
+            return FreeCell(compose(cell.psi, u), cell.base)
+        fac = factorize(compose(cell.psi, u))
         return FreeCell(fac.psi, k.pull_coface(fac.phi, cell.base))
 
-    def act_endo(dim: int, e: CubeMap, cell: FreeCell) -> FreeCell:
-        return FreeCell(compose(cell.psi, e), cell.base)
-
-    return _build(k.max_dim, graded, act_coface, act_endo)
+    return _build(graded, act)
 
 
 def cube_precubical(n: int, max_dim: int | None = None) -> Precubical:
@@ -439,61 +420,38 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
     for a in j.src.all_cubes():
         uf.unite(("L", j(a)), ("R", l(a)))
 
-    classes = uf.classes()
-    new_id: dict[tuple[str, int], int] = {}
-    cubes: dict[int, list[int]] = {n: [] for n in range(max_dim + 1)}
-    labels: dict[int, object] = {}
-
-    def dim_of_tag(tag: tuple[str, int]) -> int:
-        side, c = tag
-        return left.dim_of[c] if side == "L" else right.dim_of[c]
-
-    counter = 0
-    for n in range(max_dim + 1):
-        for cls in classes:
-            if dim_of_tag(cls[0]) != n:
-                continue
-            for member in cls:
-                if dim_of_tag(member) != n:
-                    raise ValueError("glued cubes of different dimensions")
-                new_id[member] = counter
-            cubes[n].append(counter)
-            labels[counter] = tuple(cls)
-            counter += 1
-
-    def act_on_tag(kind: str, key, tag: tuple[str, int]) -> tuple[str, int]:
-        side, c = tag
-        source = left if side == "L" else right
-        table = source.face[key] if kind == "face" else source.endo[key[0]][key[1]]
-        return (side, table[c])
+    sides = {"L": left, "R": right}
+    graded: list[list[tuple]] = [[] for _ in range(max_dim + 1)]
+    for cls in uf.classes():
+        dims = {sides[side].dim_of[c] for side, c in cls}
+        if len(dims) != 1:
+            raise ValueError("glued cubes of different dimensions")
+        graded[dims.pop()].append(tuple(cls))
+    cubes, labels = _number(graded)
+    new_id = {member: c for c, cls in labels.items() for member in cls}
 
     face: dict[tuple[int, int, int], dict[int, int]] = {}
-    endo: dict[int, dict[CubeMap, dict[int, int]]] = {}
-    for n in range(1, max_dim + 1):
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                table: dict[int, int] = {}
-                for cls in classes:
-                    if dim_of_tag(cls[0]) != n:
-                        continue
-                    results = {new_id[act_on_tag("face", (n, i, alpha), t)] for t in cls}
-                    if len(results) != 1:
-                        raise ValueError("inputs not action-equivariant: face action ill-defined")
-                    table[new_id[cls[0]]] = results.pop()
-                face[(n, i, alpha)] = table
-        endo[n] = {}
-        for e in enumerate_homset(n, n):
-            table = {}
-            for cls in classes:
-                if dim_of_tag(cls[0]) != n:
-                    continue
-                results = {new_id[act_on_tag("endo", (n, e), t)] for t in cls}
-                if len(results) != 1:
-                    raise ValueError("inputs not action-equivariant: endo action ill-defined")
-                table[new_id[cls[0]]] = results.pop()
-            endo[n][e] = table
+    endo: dict[int, dict[CubeMap, dict[int, int]]] = {n: {} for n in range(1, max_dim + 1)}
+    for key, u in generating_family(max_dim):
+        n = u.cod_dim
+        tables = {
+            side: family_table(obj.face, obj.endo, key, u)
+            for side, obj in sides.items()
+            if obj.cubes.get(n)
+        }
+        table: dict[int, int] = {}
+        for c in cubes[n]:
+            results = {new_id[(side, tables[side][t])] for side, t in labels[c]}
+            if len(results) != 1:
+                kind = "endo" if key is None else "face"
+                raise ValueError(f"inputs not action-equivariant: {kind} action ill-defined")
+            table[c] = results.pop()
+        if key is None:
+            endo[n][u] = table
+        else:
+            face[key] = table
 
-    out = Sts(max_dim, {n: tuple(ids) for n, ids in cubes.items()}, face, endo, labels)
+    out = Sts(max_dim, cubes, face, endo, labels)
     lmap = StsMap(left, out, {c: new_id[("L", c)] for c in left.all_cubes()})
     rmap = StsMap(right, out, {c: new_id[("R", c)] for c in right.all_cubes()})
     return PushoutResult(out, lmap, rmap)
@@ -556,13 +514,7 @@ def certify_cellular(
 
 def terminal_sts(max_dim: int) -> Sts:
     """One cube per dimension with every action collapsing onto it."""
-    graded: list[list[object]] = [[("t", n)] for n in range(max_dim + 1)]
-    return _build(
-        max_dim,
-        graded,
-        lambda n, i, alpha, x: ("t", n - 1),
-        lambda n, e, x: ("t", n),
-    )
+    return _build([[("t", n)] for n in range(max_dim + 1)], lambda u, x: ("t", u.dom_dim))
 
 
 def endo_fixed_cubes(sts: Sts, n: int) -> dict[CubeMap, tuple[int, ...]]:
@@ -603,12 +555,13 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
-    gens: list[tuple[str, object, int]] = []  # (kind, key, src dim)
-    for key in a.face:
-        gens.append(("face", key, key[0]))
-    for n, by in a.endo.items():
-        for e in by:
-            gens.append(("endo", (n, e), n))
+    # Generator tables of a and b, by the dimension of the cubes they act on.
+    gens: dict[int, list[tuple[dict, dict]]] = {}
+    for key, u in generating_family(a.max_dim):
+        if a.cubes[u.cod_dim]:
+            gens.setdefault(u.cod_dim, []).append(
+                (family_table(a.face, a.endo, key, u), family_table(b.face, b.endo, key, u))
+            )
 
     def propagate(c: int, d: int) -> list[tuple[int, int]] | None:
         """Force images of faces/endo-images of c; return new pins or None."""
@@ -616,11 +569,8 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
         stack = [(c, d)]
         while stack:
             x, y = stack.pop()
-            for kind, key, dim in gens:
-                if a.dim_of[x] != dim:
-                    continue
-                ax = a.face[key][x] if kind == "face" else a.endo[key[0]][key[1]][x]
-                by_ = b.face[key][y] if kind == "face" else b.endo[key[0]][key[1]][y]
+            for a_table, b_table in gens.get(a.dim_of[x], ()):
+                ax, by_ = a_table[x], b_table[y]
                 if ax in assignment:
                     if assignment[ax] != by_:
                         return None

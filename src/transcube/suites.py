@@ -28,7 +28,7 @@ from .cube import (
     vertices,
 )
 from .geometry import PointPresentation, chain_distance_sample, dpath_length, vertex_distance
-from .homsets import BudgetExceeded, enumerate_cofaces, enumerate_homset, factorize
+from .homsets import BudgetExceeded, composable_pairs, enumerate_cofaces, enumerate_homset, factorize
 from .paths import (
     DPath,
     induced_path_map,
@@ -110,17 +110,6 @@ def _all_maps(max_dim: int) -> list[CubeMap]:
         for n in range(m, max_dim + 1)
         for f in enumerate_homset(m, n)
     ]
-
-
-def _composable_pairs(max_dim: int) -> list[tuple[CubeMap, CubeMap]]:
-    pairs = []
-    for m in range(max_dim + 1):
-        for n in range(m, max_dim + 1):
-            for p in range(n, max_dim + 1):
-                for f in enumerate_homset(m, n):
-                    for g in enumerate_homset(n, p):
-                        pairs.append((f, g))
-    return pairs
 
 
 # -- individual suites ------------------------------------------------------
@@ -214,7 +203,7 @@ def suite_t_oracle(report: CheckSuiteReport, max_dim: int, rnd: random.Random, s
 
 def suite_t_functoriality(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
     rng = np.random.default_rng(rnd.randrange(2**32))
-    for f, g in _composable_pairs(max_dim):
+    for f, g in composable_pairs(max_dim):
         pts = batch.random_points(rng, f.dom_dim, scale, DENOMINATOR)
         report.cases += 1
         via_composite = batch.t_eval_batch(compose(g, f), pts, DENOMINATOR)
@@ -376,7 +365,7 @@ def suite_latching(report: CheckSuiteReport, max_dim: int, rnd: random.Random, s
 
 
 def suite_cocycle(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
-    for f, g in _composable_pairs(max_dim):
+    for f, g in composable_pairs(max_dim):
         m = f.dom_dim
         if m == 0:
             continue

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .cube import INF, CubeMap
+from .cube import INF, CubeMap, split_coordinates
 from .homsets import factorize
 
 Coord = TypeVar("Coord", Fraction, int)
@@ -99,16 +99,13 @@ def t_eval(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
     if f.is_endo():
         return t_eval_maxmin(f, x)
     fac = factorize(f)
-    inner = t_eval_maxmin(fac.psi, x) if f.dom_dim > 0 else ()
-    lo, hi = fac.phi.table[0], fac.phi.table[-1]
-    out = []
-    k = 0
-    for pos in range(f.cod_dim):
-        if ((lo ^ hi) >> pos) & 1:
-            out.append(inner[k])
-            k += 1
-        else:
-            out.append(one if (lo >> pos) & 1 else zero)
+    free, consts = split_coordinates(fac.phi.table[0], fac.phi.table[-1], f.cod_dim)
+    out = [zero] * f.cod_dim
+    for pos, c in zip(free, t_eval_maxmin(fac.psi, x) if free else ()):
+        out[pos] = c
+    for pos, alpha in consts:
+        if alpha:
+            out[pos] = one
     return tuple(out)
 
 

@@ -36,6 +36,11 @@ def test_enumerate_json(capsys):
     assert code == 0 and json.loads(out) == ["1>1:0,1"]
 
 
+def test_enumerate_json_from_global_format(capsys):
+    code, out = run(capsys, "--format", "json", "enumerate", "--dom", "1", "--cod", "1")
+    assert code == 0 and json.loads(out) == ["1>1:0,1"]
+
+
 def test_factor_prints_parts(capsys):
     code, out = run(capsys, "factor", "--map", "2>3:0,2,2,6")
     assert code == 0

@@ -1,14 +1,27 @@
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
-from transcube.cube import CubeMap, compose, coface, identity, max_min_collapse, min_max_collapse, validate_cotransverse
+from transcube.cube import (
+    CubeMap,
+    coface,
+    coface_table,
+    compose,
+    extract_bits,
+    identity,
+    max_min_collapse,
+    min_max_collapse,
+    split_coordinates,
+    validate_cotransverse,
+)
 from transcube.homsets import (
     BudgetExceeded,
     check_factorization_final,
+    composable_pairs,
     count_homset,
     decompose_coface,
     enumerate_cofaces,
@@ -189,3 +202,36 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("TRANSCUBE_BUDGET", "1000")
     with pytest.raises(BudgetExceeded):
         enumerate_homset(4, 5)
+
+
+@pytest.mark.parametrize("top, expected", [(0, 1), (1, 6), (2, 70), (3, 7662)])
+def test_composable_pairs_count(top, expected):
+    # closed form: a pair is a map [m] -> [n] and a map [n] -> [p]
+    closed = sum(
+        count_homset(m, n) * count_homset(n, p)
+        for m in range(top + 1)
+        for n in range(m, top + 1)
+        for p in range(n, top + 1)
+    )
+    pairs = composable_pairs(top)
+    assert len(pairs) == closed == expected
+    assert all(f.cod_dim == g.dom_dim and g.cod_dim <= top for f, g in pairs)
+
+
+def test_coface_insertion_round_trip():
+    for n in range(5):
+        for m in range(n + 1):
+            cofaces = enumerate_cofaces(m, n)
+            assert len(cofaces) == comb(n, m) << (n - m)
+            for phi in cofaces:
+                base = phi.table[0]
+                free, consts = split_coordinates(base, phi.table[-1], n)
+                assert len(free) == m
+                assert sorted(free + tuple(pos for pos, _ in consts)) == list(range(n))
+                assert coface_table(base, free) == phi.table
+                for x, w in enumerate(phi.table):
+                    # bitwise oracle: source bit k sits at free[k], the rest
+                    # are the constants
+                    assert all((w >> pos) & 1 == (x >> k) & 1 for k, pos in enumerate(free))
+                    assert all((w >> pos) & 1 == alpha for pos, alpha in consts)
+                    assert extract_bits(w, free) == x

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from transcube.homsets import count_homset
+import pytest
+
+from transcube.homsets import BudgetExceeded, count_homset
 from transcube.reedy import (
     boundary_hom,
     boundary_hom_closed_form,
@@ -103,3 +105,30 @@ def test_latching_of_hom_functor_is_boundary_cubes():
             lat = latching(hom_obj(k, 3), n)
             expected = len(boundary(n).cubes.get(k, ()))
             assert len(lat) == expected
+
+
+def test_covariant_build_charges_budget(monkeypatch):
+    hom_obj(1, 3)  # warm hom-set caches: only the table charge can refuse now
+    monkeypatch.setenv("TRANSCUBE_BUDGET", "100")
+    with pytest.raises(BudgetExceeded):
+        hom_obj(1, 3)
+
+
+def _entries(face, endo) -> int:
+    return sum(len(t) for t in face.values()) + sum(len(t) for by in endo.values() for t in by.values())
+
+
+def test_budget_charge_is_the_entries_written(monkeypatch):
+    # both variances are charged exactly the number of entries they store
+    builds = [
+        (lambda: hom_obj(1, 3), lambda o: _entries(o.coface_maps, o.endo_maps)),
+        (lambda: representable(2), lambda s: _entries(s.face, s.endo)),
+    ]
+    for build, entries in builds:
+        needed = entries(build())
+        monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed))
+        build()
+        monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed - 1))
+        with pytest.raises(BudgetExceeded):
+            build()
+        monkeypatch.delenv("TRANSCUBE_BUDGET")

@@ -49,3 +49,24 @@ def test_budget_exhaustion_is_marked_not_failed(monkeypatch):
     report = run_suite("factorization-unique", max_dim=3, seed=0)
     assert report.exhausted and report.ok
     assert "note budget-exhausted" in report.machine_lines()
+
+
+def test_machine_lines_golden_at_max_dim_2():
+    # every suite of `check all` at seed 0 and default scales; the case
+    # counts pin the work each suite does, so a refactor must keep them
+    expected = [
+        "suite=metric-axioms cases=280 failures=0",
+        "suite=cotransverse-validate cases=222 failures=0",
+        "suite=factorization-unique cases=16 failures=0",
+        "suite=t-oracle cases=2000 failures=0",
+        "suite=t-functoriality cases=70 failures=0",
+        "suite=quasi-isometry cases=9 failures=0",
+        "suite=natural-paths cases=245 failures=0",
+        "suite=free-iso cases=6 failures=0",
+        "suite=boundary-hom cases=27 failures=0",
+        "suite=latching cases=18 failures=0",
+        "suite=cocycle cases=101 failures=0",
+        "suite=skeleton-metric cases=43 failures=0",
+    ]
+    lines = [line for name in suite_names() for line in run_suite(name, max_dim=2, seed=0).machine_lines()]
+    assert lines == expected
