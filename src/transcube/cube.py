@@ -146,6 +146,12 @@ class Violation:
         return False
 
 
+@lru_cache(maxsize=16)
+def _covering_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The covering pairs ``(x, x | 1 << i)`` of ``[m]``, x ascending, then i."""
+    return tuple((x, x | 1 << i) for x in range(1 << m) for i in range(m) if not (x >> i) & 1)
+
+
 def validate_cotransverse(
     table: tuple[int, ...], m: int, n: int, pairwise: bool = False
 ) -> Violation | None:
@@ -162,8 +168,9 @@ def validate_cotransverse(
         return Violation("shape", None, f"no cotransverse maps [{m}]->[{n}] with {m} > {n}")
     if len(table) != 1 << m:
         return Violation("shape", None, f"table must have {1 << m} entries, got {len(table)}")
+    size = 1 << n
     for b in table:
-        if not 0 <= b < (1 << n):
+        if not 0 <= b < size:
             return Violation("shape", None, f"image mask {b} out of range for [{n}]")
 
     def pair(x: int, y: int) -> tuple[Vertex, Vertex]:
@@ -186,24 +193,25 @@ def validate_cotransverse(
                         )
         return None
 
-    for x in range(1 << m):
+    # With d = f(x) ^ f(y): f(x) < f(y) iff d is nonzero and has no bit of
+    # f(x); the images are then adjacent iff d is a single bit.
+    for x, y in _covering_pairs(m):
         fx = table[x]
-        for i in range(m):
-            if (x >> i) & 1:
-                continue
-            y = x | (1 << i)
-            fy = table[y]
-            if not (bits_leq(fx, fy) and fx != fy):
-                return Violation("strictly-increasing", pair(x, y), "x < y but not f(x) < f(y)")
-            if bit_height(fy) - bit_height(fx) != 1:
-                return Violation(
-                    "adjacency", pair(x, y), "adjacent pair not sent to adjacent pair"
-                )
+        d = fx ^ table[y]
+        if d == 0 or d & fx:
+            return Violation("strictly-increasing", pair(x, y), "x < y but not f(x) < f(y)")
+        if d & (d - 1):
+            return Violation(
+                "adjacency", pair(x, y), "adjacent pair not sent to adjacent pair"
+            )
     return None
 
 
-# Preimage masks of each output coordinate, memoised per table.
-_PREIMAGE_CACHE: dict[tuple[int, int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+@lru_cache(maxsize=4096)
+def _preimages_of_one(m: int, n: int, table: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Preimage masks of each output coordinate of a table, memoised per table."""
+    return tuple(tuple(x for x in range(1 << m) if (table[x] >> i) & 1) for i in range(n))
+
 
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*>\s*(\d+)\s*:\s*(.*)$")
 
@@ -225,6 +233,23 @@ class CubeMap:
         bad = validate_cotransverse(self.table, self.dom_dim, self.cod_dim)
         if bad is not None:
             raise ValueError(f"invalid cotransverse table: {bad.axiom}: {bad.message}")
+        # Maps are set and dict keys everywhere; hash the table once.
+        object.__setattr__(self, "_hash", hash((self.dom_dim, self.cod_dim, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, CubeMap):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.table == other.table
+            and self.dom_dim == other.dom_dim
+            and self.cod_dim == other.cod_dim
+        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -248,18 +273,10 @@ class CubeMap:
     def preimages_of_one(self) -> tuple[tuple[int, ...], ...]:
         """For each output coordinate i, the source masks whose image has bit i set.
 
-        Cached per table; the lists drive the max-min evaluation of the
-        topologized map.
+        Cached per table (bounded); the lists drive the max-min evaluation of
+        the topologized map.
         """
-        key = (self.dom_dim, self.cod_dim, self.table)
-        hit = _PREIMAGE_CACHE.get(key)
-        if hit is None:
-            hit = tuple(
-                tuple(x for x in range(1 << self.dom_dim) if (self.table[x] >> i) & 1)
-                for i in range(self.cod_dim)
-            )
-            _PREIMAGE_CACHE[key] = hit
-        return hit
+        return _preimages_of_one(self.dom_dim, self.cod_dim, self.table)
 
     # -- literals ---------------------------------------------------------
 
@@ -287,7 +304,7 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
         raise ValueError(
             f"cannot compose: inner map lands in [{f.cod_dim}], outer starts at [{g.dom_dim}]"
         )
-    return CubeMap(f.dom_dim, g.cod_dim, tuple(g.table[b] for b in f.table))
+    return CubeMap(f.dom_dim, g.cod_dim, tuple(map(g.table.__getitem__, f.table)))
 
 
 def identity(n: int) -> CubeMap:

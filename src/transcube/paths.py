@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .cube import CubeMap, Vertex, bits_leq, coface_table, compose, split_coordinates
@@ -291,8 +292,13 @@ def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
     alpha._check_dim(beta)
     if not (bits_leq(alpha.bits, beta.bits) and alpha.bits != beta.bits):
         raise ValueError(f"{alpha} is not strictly below {beta}")
-    free, _ = split_coordinates(alpha.bits, beta.bits, alpha.dim)
-    return CubeMap(len(free), alpha.dim, coface_table(alpha.bits, free))
+    return _induced_coface(alpha.bits, beta.bits, alpha.dim)
+
+
+@lru_cache(maxsize=4096)
+def _induced_coface(lo: int, hi: int, n: int) -> CubeMap:
+    free, _ = split_coordinates(lo, hi, n)
+    return CubeMap(len(free), n, coface_table(lo, free))
 
 
 def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:

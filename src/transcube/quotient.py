@@ -56,6 +56,10 @@ class UnionFind:
     def representatives(self) -> list[Hashable]:
         return [cls[0] for cls in self.classes()]
 
+    def class_count(self) -> int:
+        """Number of classes: the elements that are their own root."""
+        return sum(1 for e, parent in self._parent.items() if e == parent)
+
 
 class QuotientSet:
     """A finite set presented as representatives of generated identifications."""
@@ -78,7 +82,7 @@ class QuotientSet:
         return self._uf.representatives()
 
     def __len__(self) -> int:
-        return len(self._uf.classes())
+        return self._uf.class_count()
 
     def is_empty(self) -> bool:
         return len(self) == 0

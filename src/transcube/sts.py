@@ -227,6 +227,10 @@ class StsMap:
         for c in self.src.all_cubes():
             if c not in self.mapping:
                 raise ValueError(f"mapping misses cube {c}")
+            if self.mapping[c] not in self.dst.dim_of:
+                raise ValueError(
+                    f"mapping sends cube {c} to {self.mapping[c]}, which is not a cube of the target"
+                )
             if self.src.dim_of[c] != self.dst.dim_of[self.mapping[c]]:
                 raise ValueError(f"mapping does not preserve dimension at cube {c}")
         for key, u in generating_family(self.src.max_dim):
@@ -290,11 +294,20 @@ class Precubical:
     def __post_init__(self) -> None:
         dim_of = self.dim_of
         for (c, i, alpha), d in self.faces.items():
+            if c not in dim_of:
+                raise ValueError(f"face ({i}, {alpha}) given for {c}, which is not a cube")
             n = dim_of[c]
             if not (1 <= i <= n and alpha in (0, 1)):
                 raise ValueError(f"face index ({i}, {alpha}) invalid for {n}-cube {c}")
+            if d not in dim_of:
+                raise ValueError(f"face ({i}, {alpha}) of cube {c} is {d}, which is not a cube")
             if dim_of[d] != n - 1:
                 raise ValueError(f"face of {n}-cube {c} must have dimension {n - 1}")
+        for c, n in dim_of.items():
+            for i in range(1, n + 1):
+                for alpha in (0, 1):
+                    if (c, i, alpha) not in self.faces:
+                        raise ValueError(f"{n}-cube {c} lacks face ({i}, {alpha})")
         for n in range(2, self.max_dim + 1):
             for c in self.cubes.get(n, ()):
                 for j in range(1, n + 1):

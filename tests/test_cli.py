@@ -165,6 +165,38 @@ def test_cells_script(tmp_path, capsys):
     assert "cells dim 1: 1" in out and "cubes dim 0: 2" in out
 
 
+def test_malformed_complex_names_the_missing_face(tmp_path, capsys):
+    # the square with the face (2, 1) of its top cube 8 left out
+    faces = {"4": {"1,0": 0, "1,1": 1}, "5": {"1,0": 0, "1,1": 2}, "6": {"1,0": 1, "1,1": 3}}
+    faces["7"] = {"1,0": 2, "1,1": 3}
+    faces["8"] = {"1,0": 5, "1,1": 6, "2,0": 4}
+    data = {"max_dim": 2, "cubes": {"0": [0, 1, 2, 3], "1": [4, 5, 6, 7], "2": [8]}, "faces": faces}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    for argv in (["free"], ["dist", "--from", "0", "--to", "3"]):
+        code = main([*argv, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "cube 8" in err and "face (2, 1)" in err
+
+
+def test_script_attaching_to_a_missing_cube_is_named(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(
+        json.dumps(
+            [
+                {"dim": 0, "attach": {}},
+                {"dim": 0, "attach": {}},
+                {"dim": 1, "attach": {"0": 0, "1": 7}},
+            ]
+        )
+    )
+    code = main(["cells", "--script", str(script)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "cube 1 to 7" in err and "not a cube" in err
+
+
 def test_reedy_table(capsys):
     code, out = run(capsys, "reedy", "--check", "boundary-hom", "--max-dim", "2")
     assert code == 0 and "all checks passed" in out

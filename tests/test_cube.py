@@ -3,10 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from transcube import cube
 from transcube.cube import (
     INF,
     CubeMap,
     Vertex,
+    Violation,
+    bit_height,
+    bits_leq,
     coface,
     compose,
     d1_vertex,
@@ -200,3 +204,76 @@ def test_random_tables_validator_oracle(n, data):
     fast = validate_cotransverse(table, m, n)
     slow = validate_cotransverse(table, m, n, pairwise=True)
     assert (fast is None) == (slow is None)
+
+
+def helper_covering_walk(table: tuple[int, ...], m: int) -> Violation | None:
+    """The covering-pair walk written with the vertex helpers: the reference
+    for the bitwise walk of :func:`validate_cotransverse` on shape-valid tables."""
+    for x in range(1 << m):
+        fx = table[x]
+        for i in range(m):
+            if (x >> i) & 1:
+                continue
+            y = x | (1 << i)
+            fy = table[y]
+            pair = (Vertex(m, x), Vertex(m, y))
+            if not (bits_leq(fx, fy) and fx != fy):
+                return Violation("strictly-increasing", pair, "x < y but not f(x) < f(y)")
+            if bit_height(fy) - bit_height(fx) != 1:
+                return Violation("adjacency", pair, "adjacent pair not sent to adjacent pair")
+    return None
+
+
+def test_bitwise_walk_reports_the_helper_walks_first_violation():
+    seen = set()
+    for n in range(4):
+        for m in range(n + 1):
+            for f in enumerate_homset(m, n):
+                for k in range(len(f.table)):
+                    for new in range(1 << n):
+                        table = f.table[:k] + (new,) + f.table[k + 1 :]
+                        fast = validate_cotransverse(table, m, n)
+                        assert fast == helper_covering_walk(table, m)
+                        slow = validate_cotransverse(table, m, n, pairwise=True)
+                        assert (fast is None) == (slow is None)
+                        seen.add(None if fast is None else fast.axiom)
+    assert seen == {None, "strictly-increasing", "adjacency"}
+
+
+def test_cubemap_hash_and_equality():
+    for n in range(4):
+        for m in range(n + 1):
+            for f in enumerate_homset(m, n):
+                g = CubeMap(m, n, tuple(list(f.table)))
+                assert g is not f and g == f and not (g != f)
+                assert hash(f) == hash(g) == hash((m, n, f.table))
+                keys = {f: "f"}
+                keys[g] = "g"
+                assert len(keys) == 1 and keys[f] == "g" and len({f, g}) == 1
+    assert CubeMap(0, 1, (0,)) != CubeMap(0, 2, (0,))
+    assert CubeMap(1, 1, (0, 1)) != CubeMap(1, 2, (0, 1))
+    f = identity(2)
+    assert f != "x" and not (f == "x") and f == f
+
+
+def test_every_construction_validates(monkeypatch):
+    calls = []
+    real = cube.validate_cotransverse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cube, "validate_cotransverse", counting)
+    f, g = max_min_collapse(), symmetry(1, 2)
+    compose(f, g)
+    compose(f, g)
+    assert len(calls) == 4
+
+
+def test_preimage_cache_is_bounded(cube3_collapse):
+    info = cube._preimages_of_one.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    pre = cube3_collapse.preimages_of_one()
+    assert pre == ((0b101, 0b111), (0b011, 0b110, 0b111), tuple(range(1, 8)))
+    assert CubeMap.from_literal("3>3:0,4,4,6,4,5,6,7").preimages_of_one() is pre

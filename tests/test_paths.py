@@ -273,3 +273,13 @@ def test_natural_iff_breakpointwise_quasi_isometry():
         )
         assert is_natural(p) == qi
         assert is_natural(naturalize(p))
+
+
+def test_induced_coface_checks_arguments_after_a_cached_call():
+    alpha, beta = Vertex(3, 0b001), Vertex(3, 0b111)
+    first = induced_coface(alpha, beta)
+    assert induced_coface(alpha, beta) is first
+    assert first.table == (0b001, 0b011, 0b101, 0b111)
+    for lo, hi in [(beta, alpha), (alpha, alpha), (alpha, Vertex(4, 0b111))]:
+        with pytest.raises(ValueError):
+            induced_coface(lo, hi)
