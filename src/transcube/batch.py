@@ -6,9 +6,18 @@ comparisons, a batch of rational points with a common denominator can be
 evaluated on the integer numerators without any loss of exactness: numpy
 ``min``/``max`` on int64 arrays never rounds.  Results agree entry for
 entry with the pointwise evaluators, which the test suite asserts.
+
+The max-min formula runs over the minimal preimage masks only: each
+preimage list is an up-set of the source cube, and a minimum over a larger
+mask never exceeds one over a smaller mask, so the smaller masks decide the
+maximum (see :mod:`transcube.topo`).  Each mask's minimum is taken over
+column views into one scratch buffer and folded into the output column in
+place, so no fancy-indexed copy of the points is made.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -26,26 +35,34 @@ def t_eval_batch(f: CubeMap, pts: np.ndarray, denominator: int = 1) -> np.ndarra
     if pts.ndim != 2 or pts.shape[1] != f.dom_dim:
         raise ValueError(f"expected shape (N, {f.dom_dim}), got {pts.shape}")
     if f.is_endo():
-        return _maxmin_batch(f, pts)
+        return _maxmin_batch(f, pts, np.empty_like(pts), range(f.cod_dim))
     fac = factorize(f)
     free, consts = split_coordinates(fac.phi.table[0], fac.phi.table[-1], f.cod_dim)
     out = np.empty((pts.shape[0], f.cod_dim), dtype=pts.dtype)
     if free:
-        out[:, list(free)] = _maxmin_batch(fac.psi, pts)
+        _maxmin_batch(fac.psi, pts, out, free)
     for pos, alpha in consts:
         out[:, pos] = denominator * alpha
     return out
 
 
-def _maxmin_batch(f: CubeMap, pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    for i, masks in enumerate(f.preimages_of_one()):
-        acc = None
-        for mask in masks:
+def _maxmin_batch(f: CubeMap, pts: np.ndarray, out: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Write max-min output coordinate ``i`` of the endomap ``f`` into column
+    ``positions[i]`` of ``out``, over the minimal preimage masks only."""
+    scratch = np.empty(pts.shape[0], dtype=pts.dtype)
+    for pos, masks in zip(positions, f.minimal_preimages()):
+        col = out[:, pos]
+        for j, mask in enumerate(masks):
             cols = [k for k in range(f.dom_dim) if (mask >> k) & 1]
-            term = pts[:, cols[0]] if len(cols) == 1 else pts[:, cols].min(axis=1)
-            acc = term if acc is None else np.maximum(acc, term)
-        out[:, i] = acc
+            term = pts[:, cols[0]]
+            if len(cols) > 1:
+                term = np.minimum(term, pts[:, cols[1]], out=scratch)
+                for k in cols[2:]:
+                    np.minimum(term, pts[:, k], out=term)
+            if j:
+                np.maximum(col, term, out=col)
+            else:
+                col[...] = term
     return out
 
 

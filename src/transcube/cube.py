@@ -213,6 +213,19 @@ def _preimages_of_one(m: int, n: int, table: tuple[int, ...]) -> tuple[tuple[int
     return tuple(tuple(x for x in range(1 << m) if (table[x] >> i) & 1) for i in range(n))
 
 
+@lru_cache(maxsize=4096)
+def _minimal_preimages(m: int, n: int, table: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The minimal masks of each preimage list, in ascending order.
+
+    Each list is an up-set (the map is monotone), so it is the up-closure of
+    its minimal masks.
+    """
+    return tuple(
+        tuple(x for x in masks if not any(y != x and y | x == x for y in masks))
+        for masks in _preimages_of_one(m, n, table)
+    )
+
+
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*>\s*(\d+)\s*:\s*(.*)$")
 
 
@@ -273,10 +286,17 @@ class CubeMap:
     def preimages_of_one(self) -> tuple[tuple[int, ...], ...]:
         """For each output coordinate i, the source masks whose image has bit i set.
 
-        Cached per table (bounded); the lists drive the max-min evaluation of
-        the topologized map.
+        Cached per table (bounded); the max-min formula of the topologized
+        map reads as a maximum over these lists.
         """
         return _preimages_of_one(self.dom_dim, self.cod_dim, self.table)
+
+    def minimal_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """For each output coordinate i, the minimal masks of
+        :meth:`preimages_of_one`: an antichain whose up-closure is the whole
+        list.  Cached per table (bounded); the max-min evaluators iterate it.
+        """
+        return _minimal_preimages(self.dom_dim, self.cod_dim, self.table)
 
     # -- literals ---------------------------------------------------------
 

@@ -13,6 +13,13 @@ a certified upper bound: it runs a shortest path over a waypoint graph
 whose arcs are realizable directed segments (comparable pairs within one
 cube, scored by the exact directed L1 distance).  Refining the waypoint
 grid can only shrink the bound.
+
+The sampling runs on integers and stays exact.  One common denominator
+``den`` is the least common multiple of ``2 ** refinement`` and the
+denominators of the two query points, so every waypoint and both queries
+are integer numerators over ``den``.  Arcs are integer comparisons scored
+by integer height gaps, and the shortest path ``d`` is reported as
+``Fraction(d, den)``.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from numbers import Rational
+from operator import le
 
 from .cube import INF
 from .paths import DPath
-from .topo import d1_point, point_height
+from .topo import point_height
 from .sts import Sts
 
 
@@ -84,6 +94,8 @@ class PointPresentation:
     local: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, Rational) for c in self.local):
+            raise ValueError("local coordinates must be exact rationals (int or Fraction)")
         if any(not 0 <= c <= 1 for c in self.local):
             raise ValueError("local coordinates must lie in [0, 1]")
 
@@ -99,13 +111,11 @@ class ChainBound:
         return self.value is not INF
 
 
-def _cube_waypoints(dim: int, refinement: int) -> list[tuple[Fraction, ...]]:
-    """Vertex waypoints plus an optional dyadic grid inside one cube."""
+def _cube_waypoints(dim: int, refinement: int, den: int) -> list[tuple[int, ...]]:
+    """Vertex waypoints plus an optional dyadic grid inside one cube, as
+    numerators over ``den`` (a multiple of ``2 ** refinement``)."""
     steps = 1 << refinement
-    axis = [Fraction(i, steps) for i in range(steps + 1)]
-    if refinement == 0:
-        axis = [Fraction(0), Fraction(1)]
-    return [tuple(p) for p in product(axis, repeat=dim)]
+    return list(product([i * den // steps for i in range(steps + 1)], repeat=dim))
 
 
 def chain_distance_sample(
@@ -140,43 +150,44 @@ def chain_distance_sample(
         refinement -= 1
         exhausted = True
 
+    # Every coordinate is an integer numerator over one common denominator.
+    den = lcm(1 << refinement, *(c.denominator for c in p.local + q.local))
+    p_num, q_num = (tuple(int(c * den) for c in pres.local) for pres in (p, q))
+
     # Node = ("pt", canonical key) where vertices of cubes are canonicalized
     # through the ambient vertex ids so chains can hop between cubes.
-    def node_of(cube_id: int, local: tuple[Fraction, ...]):
-        if all(c in (0, 1) for c in local):
-            bits = sum(1 << i for i, c in enumerate(local) if c == 1)
+    def node_of(cube_id: int, local: tuple[int, ...]):
+        if all(c in (0, den) for c in local):
+            bits = sum(1 << i for i, c in enumerate(local) if c == den)
             return ("vertex", sts.vertex_of(cube_id, bits))
         return ("interior", cube_id, local)
 
     per_cube: dict[int, list[tuple]] = {}
     for c in sts.all_cubes():
         dim = sts.dim_of[c]
-        pts = _cube_waypoints(dim, refinement)
+        pts = _cube_waypoints(dim, refinement, den)
         if c == p.cube_id:
-            pts.append(p.local)
+            pts.append(p_num)
         if c == q.cube_id:
-            pts.append(q.local)
-        per_cube[c] = [(local, node_of(c, local)) for local in pts]
+            pts.append(q_num)
+        per_cube[c] = [(local, node_of(c, local), sum(local)) for local in pts]
 
-    adj: dict[object, list[tuple[object, Fraction]]] = {}
+    adj: dict[object, list[tuple[object, int]]] = {}
     for c, pts in per_cube.items():
-        for (xa, na) in pts:
-            for (xb, nb) in pts:
-                if na == nb:
-                    continue
-                d = d1_point(xa, xb)
-                if d is not INF:
-                    adj.setdefault(na, []).append((nb, d))
+        for (xa, na, ha) in pts:
+            for (xb, nb, hb) in pts:
+                if na != nb and all(map(le, xa, xb)):
+                    adj.setdefault(na, []).append((nb, hb - ha))
 
-    source = node_of(p.cube_id, p.local)
-    target = node_of(q.cube_id, q.local)
-    dist: dict[object, Fraction] = {source: Fraction(0)}
-    heap = [(Fraction(0), 0, source)]
+    source = node_of(p.cube_id, p_num)
+    target = node_of(q.cube_id, q_num)
+    dist: dict[object, int] = {source: 0}
+    heap = [(0, 0, source)]
     tie = 1
     while heap:
         d, _, u = heapq.heappop(heap)
         if u == target:
-            return ChainBound(d, exhausted)
+            return ChainBound(Fraction(d, den), exhausted)
         if d > dist.get(u, INF):
             continue
         for v, w in adj.get(u, ()):

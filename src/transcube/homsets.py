@@ -210,7 +210,7 @@ class Factorization:
         return compose(self.phi, self.psi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def factorize(f: CubeMap) -> Factorization:
     """Split ``f`` into its endomap and coface parts.
 
@@ -234,7 +234,7 @@ def factorize(f: CubeMap) -> Factorization:
     return Factorization(psi, phi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def decompose_coface(phi: CubeMap) -> tuple[tuple[int, int, int], ...]:
     """Write a coface composite as elementary insertions.
 

@@ -233,6 +233,9 @@ class StsMap:
                 )
             if self.src.dim_of[c] != self.dst.dim_of[self.mapping[c]]:
                 raise ValueError(f"mapping does not preserve dimension at cube {c}")
+        for c in self.mapping:
+            if c not in self.src.dim_of:
+                raise ValueError(f"mapping names cube {c}, which is not a cube of the source")
         for key, u in generating_family(self.src.max_dim):
             if not self.src.cubes[u.cod_dim]:
                 continue

@@ -8,12 +8,21 @@ this recovers ``f`` itself; on the whole cube it is continuous, strictly
 increasing, preserves the coordinate sum and preserves all finite directed
 L1 distances.
 
+A cotransverse map is monotone, so the source vertices whose image has
+coordinate ``i`` equal to 1 form an up-set: the up-closure of its minimal
+vertices.  A minimum over a larger vertex (more coordinates) is never
+larger, so the maximum over the whole up-set equals the maximum over its
+minimal vertices alone (:meth:`CubeMap.minimal_preimages`); on the
+endomaps of ``[4]`` that is 9.6 masks instead of 32 on average.
+
 Two independent evaluators are provided.  :func:`t_eval_maxmin` computes
-the formula literally.  :func:`t_eval_permutation` sorts the coordinates in
-descending order and reads the output permutation off the images of the
-corresponding chain of vertices; the two must agree exactly on every input.
-Both use comparisons only, so they work verbatim on ``Fraction``
-coordinates and on integer coordinates over an implicit common denominator.
+the formula over the minimal vertices; the tests hold it against the
+literal all-vertices formula.  :func:`t_eval_permutation` sorts the
+coordinates in descending order and reads the output permutation off the
+images of the corresponding chain of vertices; the two must agree exactly
+on every input.  Both use comparisons only, so they work verbatim on
+``Fraction`` coordinates and on integer coordinates over an implicit common
+denominator.
 
 Maps between cubes of different dimensions are evaluated through the unique
 coface/endo factorization: run the endomap part, then insert the constant
@@ -37,12 +46,16 @@ def _check_point(f: CubeMap, x: Sequence) -> None:
 
 
 def t_eval_maxmin(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
-    """Max-min evaluation of an endomap at a point; exact, no tolerances."""
+    """Max-min evaluation of an endomap at a point; exact, no tolerances.
+
+    The maximum runs over the minimal preimage masks only, which gives the
+    same value as the literal formula (see the module docstring).
+    """
     if not f.is_endo():
         raise ValueError("max-min evaluation is defined for endomaps; use t_eval")
     _check_point(f, x)
     out = []
-    for masks in f.preimages_of_one():
+    for masks in f.minimal_preimages():
         best = None
         for mask in masks:
             m = mask

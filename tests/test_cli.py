@@ -257,3 +257,20 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "no-such-suite"])
     assert exc.value.code == 2
+
+
+def test_script_attaching_a_cube_the_boundary_lacks_is_named(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(
+        json.dumps(
+            [
+                {"dim": 0},
+                {"dim": 0},
+                {"dim": 1, "attach": {"0": 0, "1": 1, "5": 0}},
+            ]
+        )
+    )
+    code = main(["cells", "--script", str(script)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "mapping names cube 5, which is not a cube of the source" in err

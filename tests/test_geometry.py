@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import heapq
+import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
 from transcube.cube import INF, Vertex, d1_vertex
 from transcube.geometry import (
+    ChainBound,
     PointPresentation,
     SkeletonDigraph,
     chain_distance_sample,
@@ -14,6 +18,7 @@ from transcube.geometry import (
 )
 from transcube.paths import DPath, naturalize, segment_path
 from transcube.sts import free_sts, representable, Precubical
+from transcube.topo import d1_point
 
 
 def vertex_ids(rep):
@@ -176,3 +181,158 @@ def test_dpath_length_dominates_skeleton_distance():
     path = segment_path(3, [(0, (0, 0, 0)), (1, (1, 0, 0)), (2, (1, 1, 0)), (3, (1, 1, 1))])
     length = dpath_length(DPath(((top, path),)))
     assert length >= vertex_distance(rep, v[0], v[0b111]) == 3
+
+
+def reference_chain_distance(sts, p, q, budget=4096, refinement=0):
+    """``chain_distance_sample`` as first written: ``Fraction`` waypoints,
+    arcs scored by ``d1_point``.  The oracle for the integer-numerator path."""
+    exhausted = False
+    while refinement > 0:
+        total = sum(((1 << refinement) + 1) ** sts.dim_of[c] for c in sts.all_cubes())
+        if total <= budget:
+            break
+        refinement -= 1
+        exhausted = True
+
+    def node_of(cube_id, local):
+        if all(c in (0, 1) for c in local):
+            bits = sum(1 << i for i, c in enumerate(local) if c == 1)
+            return ("vertex", sts.vertex_of(cube_id, bits))
+        return ("interior", cube_id, local)
+
+    steps = 1 << refinement
+    axis = [F(i, steps) for i in range(steps + 1)]
+    adj = {}
+    for c in sts.all_cubes():
+        pts = [tuple(x) for x in product(axis, repeat=sts.dim_of[c])]
+        pts += [pres.local for pres in (p, q) if pres.cube_id == c]
+        nodes = [(x, node_of(c, x)) for x in pts]
+        for xa, na in nodes:
+            for xb, nb in nodes:
+                if na != nb:
+                    d = d1_point(xa, xb)
+                    if d is not INF:
+                        adj.setdefault(na, []).append((nb, d))
+
+    source, target = node_of(p.cube_id, p.local), node_of(q.cube_id, q.local)
+    dist = {source: F(0)}
+    heap = [(F(0), 0, source)]
+    tie = 1
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u == target:
+            return ChainBound(d, exhausted)
+        if d > dist.get(u, INF):
+            continue
+        for v, w in adj.get(u, ()):
+            if d + w < dist.get(v, INF):
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, tie, v))
+                tie += 1
+    return ChainBound(INF, exhausted)
+
+
+def grid(shape):
+    """Free set of the grid of unit boxes ``[0,a1] x ... x [0,ad]``.  A k-cube is
+    a lower corner plus k free axes; its face ``(i, alpha)`` drops the i-th free
+    axis and moves the corner by ``alpha`` along it."""
+    d = len(shape)
+    cells = [
+        (k, axes, corner)
+        for k in range(d + 1)
+        for axes in combinations(range(d), k)
+        for corner in product(*(range(a + (i not in axes)) for i, a in enumerate(shape)))
+    ]
+    ids = {cell: cid for cid, cell in enumerate(cells)}
+    faces = {}
+    for (k, axes, corner), cid in ids.items():
+        for i, axis in enumerate(axes, start=1):
+            rest = tuple(a for a in axes if a != axis)
+            for alpha in (0, 1):
+                moved = tuple(c + alpha * (a == axis) for a, c in enumerate(corner))
+                faces[(cid, i, alpha)] = ids[(k - 1, rest, moved)]
+    cubes = {k: tuple(cid for (j, _, _), cid in ids.items() if j == k) for k in range(d + 1)}
+    return free_sts(Precubical(d, cubes, faces))
+
+
+def complexes():
+    return [representable(n) for n in range(4)] + [two_squares(), grid((1, 2))]
+
+
+def random_presentation(rnd, sts):
+    cube = rnd.choice(sorted(sts.all_cubes()))
+    local = []
+    for _ in range(sts.dim_of[cube]):
+        den = rnd.randint(1, 12)
+        local.append(F(rnd.randint(0, den), den))
+    return PointPresentation(cube, tuple(local))
+
+
+def assert_same_bound(got, want):
+    assert got == want and type(got.value) is type(want.value)
+
+
+def test_chain_distance_matches_fraction_reference():
+    rnd = random.Random(53)
+    for sts in complexes():
+        for refinement, budget in product(range(4), (30, 200, 4096)):
+            p, q = random_presentation(rnd, sts), random_presentation(rnd, sts)
+            if rnd.random() < 0.3:
+                q = p
+            want = reference_chain_distance(sts, p, q, budget, refinement)
+            assert_same_bound(chain_distance_sample(sts, p, q, budget, refinement), want)
+
+
+def test_chain_distance_matches_reference_between_vertices():
+    for sts in (two_squares(), grid((2, 2))):
+        ends = [PointPresentation(v, ()) for v in sts.cubes[0]]
+        for p in ends:
+            for q in ends:
+                want = reference_chain_distance(sts, p, q)
+                assert_same_bound(chain_distance_sample(sts, p, q), want)
+
+
+def test_chain_bound_shrinks_with_refinement_until_exhausted():
+    rnd = random.Random(59)
+    for sts in (representable(1), representable(2), two_squares(), grid((1, 2))):
+        for _ in range(6):
+            p, q = random_presentation(rnd, sts), random_presentation(rnd, sts)
+            previous = INF
+            for refinement in range(4):
+                bound = chain_distance_sample(sts, p, q, budget=400, refinement=refinement)
+                if bound.exhausted:
+                    break
+                assert bound.value <= previous
+                previous = bound.value
+
+
+def test_chain_bound_never_undercuts_vertex_distance():
+    for sts in (representable(2), two_squares(), grid((1, 2)), grid((2, 2))):
+        for a in sts.cubes[0]:
+            for b in sts.cubes[0]:
+                pa, pb = PointPresentation(a, ()), PointPresentation(b, ())
+                for refinement in (0, 1):
+                    bound = chain_distance_sample(sts, pa, pb, refinement=refinement)
+                    assert bound.value >= vertex_distance(sts, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_bound_inside_a_top_cube_is_d1(n):
+    rep = representable(n)
+    top = top_cube(rep)
+    rnd = random.Random(61 + n)
+    for _ in range(12):
+        x = tuple(F(rnd.randrange(13), 12) for _ in range(n))
+        y = tuple(min(F(1), c + F(rnd.randrange(-2, 7), 12)) for c in x)
+        y = tuple(max(F(0), c) for c in y)
+        for refinement in (0, 1):
+            bound = chain_distance_sample(rep, PointPresentation(top, x), PointPresentation(top, y), refinement=refinement)
+            assert bound.value == d1_point(x, y)
+
+
+def test_presentation_rejects_inexact_coordinates():
+    with pytest.raises(ValueError, match="exact rationals"):
+        PointPresentation(0, (0.5,))
+    with pytest.raises(ValueError, match="lie in"):
+        PointPresentation(0, (F(3, 2),))
+    assert PointPresentation(0, (0, F(1, 3), 1)).local == (0, F(1, 3), 1)

@@ -227,3 +227,71 @@ def test_evaluators_accept_integer_coordinates(cube3_collapse):
     scaled = tuple(c * 24 for c in t_eval_maxmin(cube3_collapse, x_frac))
     assert tuple(t_eval_maxmin(cube3_collapse, x_int)) == scaled
     assert tuple(t_eval_permutation(cube3_collapse, x_int)) == scaled
+
+
+def maxmin_all_masks(f, x):
+    """The max-min formula read literally: every preimage mask, every coordinate."""
+    return tuple(
+        max(min(x[k] for k in range(f.dom_dim) if (mask >> k) & 1) for mask in masks)
+        for masks in f.preimages_of_one()
+    )
+
+
+def up_closure(masks, m):
+    return [x for x in range(1 << m) if any(y | x == x for y in masks)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_minimal_preimages_generate_the_preimage_up_sets(n):
+    for m in range(n + 1):
+        for f in enumerate_homset(m, n):
+            for pre, mins in zip(f.preimages_of_one(), f.minimal_preimages(), strict=True):
+                assert all(a == b or a | b != b for a in mins for b in mins)  # an antichain
+                assert up_closure(mins, m) == list(pre)
+                assert list(mins) == [x for x in pre if x in mins]  # ascending
+
+
+def sampled_endos_of_4():
+    return random.Random(41).sample(enumerate_homset(4, 4), 300)
+
+
+def test_maxmin_matches_all_masks_and_permutation_under_ties():
+    quarters = [F(k, 4) for k in range(5)]
+    rnd = random.Random(43)
+    for n in (1, 2, 3):
+        points = [tuple(quarters[k] for k in c) for c in np.ndindex(*(5,) * n)]
+        for f in enumerate_homset(n, n):
+            for x in points:
+                assert t_eval_maxmin(f, x) == maxmin_all_masks(f, x) == t_eval_permutation(f, x)
+    for f in sampled_endos_of_4():
+        for _ in range(12):
+            x = tuple(rnd.choice(quarters) for _ in range(4))
+            assert t_eval_maxmin(f, x) == maxmin_all_masks(f, x) == t_eval_permutation(f, x)
+
+
+def test_batch_endomaps_match_all_masks_and_permutation():
+    for n in (1, 2, 3, 4):
+        pts = np.array(list(np.ndindex(*(4,) * n)), dtype=np.int64)
+        maps = enumerate_homset(n, n) if n < 4 else sampled_endos_of_4()
+        rows = range(len(pts)) if n < 4 else range(0, len(pts), 5)
+        for f in maps:
+            out = batch.t_eval_batch(f, pts)
+            assert out.dtype == pts.dtype
+            for r in rows:
+                x = tuple(int(c) for c in pts[r])
+                got = tuple(int(c) for c in out[r])
+                assert got == maxmin_all_masks(f, x) == t_eval_permutation(f, x)
+
+
+def test_batch_non_endomaps_match_pointwise_rows():
+    rnd = random.Random(47)
+    for n in range(1, 5):
+        for m in range(n):
+            cells = list(np.ndindex(*(4,) * m))
+            pts = np.array(cells, dtype=np.int64).reshape(len(cells), m)
+            maps = enumerate_homset(m, n)
+            for f in rnd.sample(maps, min(len(maps), 24)):
+                out = batch.t_eval_batch(f, pts, 3)
+                for row, pt in zip(out, pts):
+                    want = tuple(c * 3 for c in t_eval(f, tuple(F(int(c), 3) for c in pt)))
+                    assert tuple(int(c) for c in row) == want
