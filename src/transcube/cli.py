@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget guard.
-The enumeration budget can be overridden with the TRANSCUBE_BUDGET
-environment variable or per invocation with ``--budget``.
+The cell budget of every materialized table can be overridden with the
+TRANSCUBE_BUDGET environment variable or per invocation with ``--budget``.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
             raise CliError("--chain needs --p and --q presentations")
         p = _parse_presentation(args.p)
         q = _parse_presentation(args.q)
-        bound = chain_distance_sample(sts, p, q, budget=args.budget or 4096, refinement=args.refinement)
+        bound = chain_distance_sample(sts, p, q, refinement=args.refinement)
         flag = " (budget exhausted)" if bound.exhausted else ""
         _print(
             args,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with cotransverse cube maps and symmetric transverse sets",
     )
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--budget", type=int, default=None, help="enumeration budget in table cells")
+    parser.add_argument("--budget", type=int, default=None, help="budget in table cells for every materialized table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list a hom-set of cotransverse maps")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
@@ -58,35 +58,58 @@ def _levels(m: int) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+def charge(cells: int, what: str) -> None:
+    """The one budget rule: materializing ``cells`` table cells for ``what``
+    raises :class:`BudgetExceeded` when ``cells`` exceeds :func:`cell_budget`.
+    Hom-sets, coface sets and action tables all charge through here."""
+    budget = cell_budget()
+    if cells > budget:
+        raise BudgetExceeded(f"{what} needs {cells} cells, over the budget of {budget}")
+
+
+def _charged(body):
+    """A cached ``(m, n) -> maps`` body behind a gate that charges the
+    ``len(maps) << m`` cells of its result on every call, warm or cold."""
+    cached = lru_cache(maxsize=None)(body)
+
+    @wraps(body)
+    def gate(m: int, n: int) -> tuple[CubeMap, ...]:
+        maps = cached(m, n)
+        charge(len(maps) << m, f"{body.__name__}({m}, {n})")
+        return maps
+
+    gate.cache_info, gate.cache_clear = cached.cache_info, cached.cache_clear
+    return gate
+
+
+@_charged
 def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
     """All cotransverse maps ``[m] -> [n]`` in lexicographic table order.
 
-    Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the emitted
-    tables would exceed the configured cell budget; the guard keeps desk
-    scale exhaustive searches from blowing up past dimension 5 or so.
+    Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the tables
+    would exceed the configured cell budget; the guard keeps desk scale
+    exhaustive searches from blowing up past dimension 5 or so.  The coface
+    composites alone fill ``C(n, m) << n`` cells, so a cold enumeration
+    charges that first, then the tables found so far each time their count
+    doubles (a refused search holds at most twice the budget), and the gate
+    charges the exact total.
     """
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
     if m > n:
         return ()
-    budget = cell_budget()
-    if (1 << m) * max(n, 1) > budget:
-        raise BudgetExceeded(f"table of {1 << m} cells exceeds budget {budget}")
-    if m == 0:
-        return tuple(CubeMap(0, n, (v,)) for v in range(1 << n))
+    what = f"enumerate_homset({m}, {n})"
+    charge(comb(n, m) << n, what)
 
     order: list[int] = []  # vertices by (height, mask); images assigned in this order
     for level in _levels(m):
         order.extend(level)
-    position = {x: k for k, x in enumerate(order)}
     covers_below = [
         [x & ~(1 << i) for i in range(m) if (x >> i) & 1] for x in range(1 << m)
     ]
 
     tables: list[tuple[int, ...]] = []
     image = [0] * (1 << m)
-    cells_emitted = 0
 
     def candidates(x: int) -> list[int]:
         # The image must cover the image of every lower cover of x.  All of
@@ -112,14 +135,10 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
         return sorted(cands)
 
     def dfs(k: int) -> None:
-        nonlocal cells_emitted
         if k == len(order):
-            cells_emitted += 1 << m
-            if cells_emitted > budget:
-                raise BudgetExceeded(
-                    f"enumeration of [{m}]->[{n}] exceeded budget of {budget} cells"
-                )
             tables.append(tuple(image))
+            if len(tables) & (len(tables) - 1) == 0:
+                charge(len(tables) << m, what)
             return
         x = order[k]
         for w in candidates(x):
@@ -127,7 +146,7 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
             dfs(k + 1)
 
     # Bottom vertex: any image low enough that m more height levels fit above.
-    for bottom in sorted(range(1 << n), key=lambda v: (bit_height(v), v)):
+    for bottom in range(1 << n):
         if bit_height(bottom) <= n - m:
             image[0] = bottom
             dfs(1)
@@ -139,13 +158,14 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
 def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
     """Every composable pair ``(f: [m] -> [n], g: [n] -> [p])`` with
     ``m <= n <= p <= top``, ordered by ``m``, ``n``, ``p``, then ``f``, then ``g``."""
+    homs = {(m, n): enumerate_homset(m, n) for m in range(top + 1) for n in range(m, top + 1)}
     return [
         (f, g)
         for m in range(top + 1)
         for n in range(m, top + 1)
         for p in range(n, top + 1)
-        for f in enumerate_homset(m, n)
-        for g in enumerate_homset(n, p)
+        for f in homs[m, n]
+        for g in homs[n, p]
     ]
 
 
@@ -166,12 +186,13 @@ def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, 
     return tuple(family)
 
 
-@lru_cache(maxsize=None)
+@_charged
 def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
     """All coface composites ``[m] -> [n]``: choose the m free coordinates and
     the constant value of each remaining one.  Lexicographic table order."""
     if m > n:
         return ()
+    charge(comb(n, m) << n, f"enumerate_cofaces({m}, {n})")
     # The constants of the fixed coordinates range over the table of the
     # coface that inserts them into the all-zero base.
     tables = sorted(

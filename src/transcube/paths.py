@@ -125,10 +125,11 @@ def is_dpath(p: SegmentPath) -> DPathReport:
 def is_natural(p: SegmentPath) -> bool:
     """Whether the height climbed equals the time elapsed, exactly.
 
-    Requires time to start at 0, every breakpoint to satisfy
-    ``height(point) - height(start) == time``, the slopes on every segment
-    to sum to 1, and the domain to be ``[0, d1(start, end)]``.  For a path
-    from the bottom vertex this is literally "coordinate sum equals time".
+    Requires time to start at 0 and every breakpoint to satisfy
+    ``height(point) - height(start) == time``; that makes the slopes on
+    every segment sum to 1 and the domain ``[0, d1(start, end)]``.  For a
+    path from the bottom vertex this is literally "coordinate sum equals
+    time".
     """
     if not is_dpath(p):
         return False
@@ -138,11 +139,6 @@ def is_natural(p: SegmentPath) -> bool:
     h0 = point_height(start)
     for t, pt in p.breakpoints:
         if point_height(pt) - h0 != t:
-            return False
-    # Breakpoint heights pin the segment slope sums; the explicit check
-    # guards against a malformed interpolation convention.
-    for (ta, a), (tb, b) in zip(p.breakpoints, p.breakpoints[1:]):
-        if point_height(b) - point_height(a) != tb - ta:
             return False
     return True
 

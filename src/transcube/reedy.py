@@ -42,19 +42,14 @@ def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
     identifications run over all connecting maps ``k: [m] -> [m']`` between
     admissible levels: ``(m, h o k, g)`` glues to ``(m', h, k o g)``.
     """
-    elements = [
-        (m, h, g)
-        for m in range(n)
-        for h in enumerate_homset(m, q)
-        for g in enumerate_homset(p, m)
-    ]
-    quot = QuotientSet(elements)
+    into, out_of = [enumerate_homset(p, m) for m in range(n)], [enumerate_homset(m, q) for m in range(n)]
+    quot = QuotientSet([(m, h, g) for m in range(n) for h in out_of[m] for g in into[m]])
     for m in range(n):
         for m2 in range(m, n):
             for k in enumerate_homset(m, m2):
-                for h in enumerate_homset(m2, q):
+                for h in out_of[m2]:
                     hk = compose(h, k)
-                    for g in enumerate_homset(p, m):
+                    for g in into[m]:
                         quot.identify((m, hk, g), (m2, h, compose(k, g)))
     return quot
 
@@ -180,8 +175,6 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     quot = QuotientSet(elements)
     for key, u in generating_family(top):
         m, n = u.dom_dim, u.cod_dim
-        if not k_sts.cubes[n]:
-            continue
         amap = family_table(a_obj.coface_maps, a_obj.endo_maps, key, u)
         for c, uc in family_table(k_sts.face, k_sts.endo, key, u).items():
             for a in a_obj.values[m]:
@@ -243,18 +236,13 @@ def compare_latching_to_boundary(a_obj: CotransverseSetObj, n: int) -> LatchingC
     bnd = boundary(n)
     ev = weighted_coend_eval(a_obj, bnd)
 
-    cube_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    for c in bnd.all_cubes():
-        u = bnd.labels[c]
-        cube_index[(u.dom_dim, u.table)] = c
+    cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
 
     image_classes: dict[tuple, tuple] = {}
     for cls in lat.classes():
         targets = set()
         for (p, (m, h, g), a) in cls:
-            hg = compose(h, g)
-            c = cube_index[(p, hg.table)]
-            targets.add(ev.class_of((p, c, a)))
+            targets.add(ev.class_of((p, cube_index[compose(h, g)], a)))
         if len(targets) != 1:
             return LatchingComparison(False, len(lat), len(ev), "map not well defined")
         image_classes[lat.class_of(cls[0])] = targets.pop()

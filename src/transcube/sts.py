@@ -20,8 +20,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .cube import CubeMap, compose, identity
 from .homsets import (
-    BudgetExceeded,
-    cell_budget,
+    charge,
     composable_pairs,
     decompose_coface,
     enumerate_homset,
@@ -53,8 +52,8 @@ class Sts:
     ) -> None:
         self.max_dim = max_dim
         self.cubes = {n: tuple(cubes.get(n, ())) for n in range(max_dim + 1)}
-        self.face = {k: dict(v) for k, v in face.items()}
-        self.endo = {n: {e: dict(t) for e, t in by.items()} for n, by in endo.items()}
+        self.face = dict(face)  # the tables themselves are shared, never mutated
+        self.endo = {n: dict(by) for n, by in endo.items()}
         self.labels = dict(labels or {})
         self.dim_of: dict[int, int] = {}
         for n, ids in self.cubes.items():
@@ -91,7 +90,10 @@ class Sts:
 
     def vertex_of(self, cube_id: int, bits: int) -> int:
         """A vertex of a cube as a vertex of the whole set."""
-        return self.act(CubeMap(0, self.dim_of[cube_id], (bits,)), cube_id)
+        vertices = enumerate_homset(0, self.dim_of[cube_id])  # vertices[bits].table == (bits,)
+        if not 0 <= bits < len(vertices):
+            raise ValueError(f"{bits} is not a vertex of cube {cube_id}")
+        return self.act(vertices[bits], cube_id)
 
 
 def check_functoriality(sts: Sts, exhaustive_dim: int = 3) -> None:
@@ -140,12 +142,7 @@ def action_tables(
     """
     family = generating_family(len(graded) - 1)
     sources = [graded[u.cod_dim if contravariant else u.dom_dim] for _, u in family]
-    budget = cell_budget()
-    projected = sum(len(level) for level in sources)
-    if projected > budget:
-        raise BudgetExceeded(
-            f"action tables would need {projected} entries, over the budget of {budget}"
-        )
+    charge(sum(len(level) for level in sources), "action tables")
     face: dict[tuple[int, int, int], dict] = {}
     endo: dict[int, dict[CubeMap, dict]] = {n: {} for n in range(1, len(graded))}
     for (key, u), level in zip(family, sources):
@@ -195,17 +192,19 @@ def representable(n: int, max_dim: int | None = None) -> Sts:
     return _build([list(enumerate_homset(m, n)) for m in range(top + 1)], lambda u, g: compose(g, u))
 
 
+def generator_tables(sts: Sts) -> dict[CubeMap, dict[int, int]]:
+    """The stored table of every generator up to ``sts.max_dim``, keyed by
+    the generating map itself."""
+    return {u: family_table(sts.face, sts.endo, key, u) for key, u in generating_family(sts.max_dim)}
+
+
 def truncate(sts: Sts, n: int) -> Sts:
     """Kill every cube of dimension above ``n``; the action restricts."""
-    cubes = {m: (sts.cubes.get(m, ()) if m <= n else ()) for m in range(sts.max_dim + 1)}
-    face = {
-        key: dict(table)
-        for key, table in sts.face.items()
-        if key[0] <= n
-    }
-    endo = {m: sts.endo[m] for m in sts.endo if m <= n}
-    out = Sts(sts.max_dim, cubes, face, endo, {c: sts.labels.get(c) for m, ids in cubes.items() for c in ids})
-    return out
+    graded = [sts.cubes[m] if m <= n else () for m in range(sts.max_dim + 1)]
+    tables = generator_tables(sts)
+    face, endo = action_tables(graded, lambda u, c: tables[u][c], contravariant=True)
+    labels = {c: sts.labels.get(c) for row in graded for c in row}
+    return Sts(sts.max_dim, dict(enumerate(graded)), face, endo, labels)
 
 
 def boundary(n: int, max_dim: int | None = None) -> Sts:
@@ -224,24 +223,22 @@ class StsMap:
     mapping: dict[int, int] = field(compare=False)
 
     def __post_init__(self) -> None:
-        for c in self.src.all_cubes():
-            if c not in self.mapping:
+        src, dst, mapping = self.src, self.dst, self.mapping
+        for c, n in src.dim_of.items():
+            if c not in mapping:
                 raise ValueError(f"mapping misses cube {c}")
-            if self.mapping[c] not in self.dst.dim_of:
-                raise ValueError(
-                    f"mapping sends cube {c} to {self.mapping[c]}, which is not a cube of the target"
-                )
-            if self.src.dim_of[c] != self.dst.dim_of[self.mapping[c]]:
+            if mapping[c] not in dst.dim_of:
+                raise ValueError(f"mapping sends cube {c} to {mapping[c]}, which is not a cube of the target")
+            if n != dst.dim_of[mapping[c]]:
                 raise ValueError(f"mapping does not preserve dimension at cube {c}")
-        for c in self.mapping:
-            if c not in self.src.dim_of:
+        for c in mapping:
+            if c not in src.dim_of:
                 raise ValueError(f"mapping names cube {c}, which is not a cube of the source")
-        for key, u in generating_family(self.src.max_dim):
-            if not self.src.cubes[u.cod_dim]:
-                continue
-            dst_table = family_table(self.dst.face, self.dst.endo, key, u)
-            for c, uc in family_table(self.src.face, self.src.endo, key, u).items():
-                if dst_table[self.mapping[c]] != self.mapping[uc]:
+        # A source cube above dst.max_dim already failed the dimension check.
+        for key, u in generating_family(min(src.max_dim, dst.max_dim)):
+            dst_table = family_table(dst.face, dst.endo, key, u)
+            for c, uc in family_table(src.face, src.endo, key, u).items():
+                if dst_table[mapping[c]] != mapping[uc]:
                     kind = "endomap" if key is None else "face"
                     raise ValueError(f"mapping not equivariant at {kind} of cube {c}")
 
@@ -261,16 +258,8 @@ def yoneda_map(f: CubeMap, src: Sts, dst: Sts) -> StsMap:
     of ``f`` and ``dst`` of the target cube; labels carry the hom elements,
     so the mapping is computed by table lookup.
     """
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    for c in dst.all_cubes():
-        g = dst.labels[c]
-        index[(g.dom_dim, g.table)] = c
-    mapping = {}
-    for c in src.all_cubes():
-        g = src.labels[c]
-        fg = compose(f, g)
-        mapping[c] = index[(fg.dom_dim, fg.table)]
-    return StsMap(src, dst, mapping)
+    index = {dst.labels[c]: c for c in dst.all_cubes()}
+    return StsMap(src, dst, {c: index[compose(f, src.labels[c])] for c in src.all_cubes()})
 
 
 @dataclass(frozen=True)
@@ -353,13 +342,8 @@ def free_sts(k: Precubical) -> Sts:
     ``psi o f``: the coface part pulls the generator back through the
     precubical faces and the endomap part becomes the new normal form.
     """
-    graded: list[list[object]] = []
-    for m in range(k.max_dim + 1):
-        row: list[object] = []
-        for c in k.cubes.get(m, ()):
-            for psi in enumerate_homset(m, m):
-                row.append(FreeCell(psi, c))
-        graded.append(row)
+    endos = [enumerate_homset(m, m) for m in range(k.max_dim + 1)]
+    graded = [[FreeCell(psi, c) for c in k.cubes.get(m, ()) for psi in endos[m]] for m in range(k.max_dim + 1)]
 
     def act(u: CubeMap, cell: FreeCell) -> FreeCell:
         if u.dom_dim == u.cod_dim:
@@ -444,33 +428,21 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
             raise ValueError("glued cubes of different dimensions")
         graded[dims.pop()].append(tuple(cls))
     cubes, labels = _number(graded)
-    new_id = {member: c for c, cls in labels.items() for member in cls}
+    new_id: dict[str, dict[int, int]] = {side: {} for side in sides}
+    for c, cls in labels.items():
+        for side, t in cls:
+            new_id[side][t] = c
+    tables = {side: generator_tables(obj) for side, obj in sides.items()}
 
-    face: dict[tuple[int, int, int], dict[int, int]] = {}
-    endo: dict[int, dict[CubeMap, dict[int, int]]] = {n: {} for n in range(1, max_dim + 1)}
-    for key, u in generating_family(max_dim):
-        n = u.cod_dim
-        tables = {
-            side: family_table(obj.face, obj.endo, key, u)
-            for side, obj in sides.items()
-            if obj.cubes.get(n)
-        }
-        table: dict[int, int] = {}
-        for c in cubes[n]:
-            results = {new_id[(side, tables[side][t])] for side, t in labels[c]}
-            if len(results) != 1:
-                kind = "endo" if key is None else "face"
-                raise ValueError(f"inputs not action-equivariant: {kind} action ill-defined")
-            table[c] = results.pop()
-        if key is None:
-            endo[n][u] = table
-        else:
-            face[key] = table
+    def act(u: CubeMap, c: int) -> int:
+        # Any member will do: the two maps into the result below check that
+        # every member of every class lands on the same image.
+        side, t = labels[c][0]
+        return new_id[side][tables[side][u][t]]
 
+    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
     out = Sts(max_dim, cubes, face, endo, labels)
-    lmap = StsMap(left, out, {c: new_id[("L", c)] for c in left.all_cubes()})
-    rmap = StsMap(right, out, {c: new_id[("R", c)] for c in right.all_cubes()})
-    return PushoutResult(out, lmap, rmap)
+    return PushoutResult(out, StsMap(left, out, new_id["L"]), StsMap(right, out, new_id["R"]))
 
 
 @dataclass(frozen=True)
@@ -503,6 +475,7 @@ def certify_cellular(
     cell_counts = {n: 0 for n in range(max_dim + 1)}
     last_injection: StsMap | None = None
     prev_dim = 0
+    cell_dim = None
     for entry in script:
         n = int(entry["dim"])
         if n < prev_dim:
@@ -510,12 +483,13 @@ def certify_cellular(
         if n > max_dim:
             raise ValueError(f"cell dimension {n} above the ambient bound {max_dim}")
         prev_dim = n
-        bnd = boundary(n, max_dim)
-        cell = representable(n, max_dim)
+        if n != cell_dim:  # the entries of one dimension share the cell and its boundary
+            cell_dim, cell = n, representable(n, max_dim)
+            bnd = truncate(cell, n - 1)
+            to_cell = inclusion_map(bnd, cell)
         attach_raw = entry.get("attach", {})
         attach = {int(k): int(v) for k, v in attach_raw.items()}
         to_skeleton = StsMap(bnd, current, attach)  # validates equivariance
-        to_cell = inclusion_map(bnd, cell)
         result = pushout(to_skeleton, to_cell)
         current = result.sts
         last_injection = result.from_right
@@ -573,11 +547,10 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
 
     # Generator tables of a and b, by the dimension of the cubes they act on.
     gens: dict[int, list[tuple[dict, dict]]] = {}
-    for key, u in generating_family(a.max_dim):
-        if a.cubes[u.cod_dim]:
-            gens.setdefault(u.cod_dim, []).append(
-                (family_table(a.face, a.endo, key, u), family_table(b.face, b.endo, key, u))
-            )
+    for key, u in generating_family(min(a.max_dim, b.max_dim)):
+        gens.setdefault(u.cod_dim, []).append(
+            (family_table(a.face, a.endo, key, u), family_table(b.face, b.endo, key, u))
+        )
 
     def propagate(c: int, d: int) -> list[tuple[int, int]] | None:
         """Force images of faces/endo-images of c; return new pins or None."""

@@ -302,17 +302,18 @@ def suite_natural_paths(report: CheckSuiteReport, max_dim: int, rnd: random.Rand
 def suite_free_iso(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
     for n in range(max_dim + 1):
         rep = representable(n)
-        free = free_sts(cube_precubical(n))
+        k = cube_precubical(n)
+        free = free_sts(k)
         report.cases += 1
         if not graded_counts_equal(rep, free):
             report.failures.append(f"free cube counts differ at n={n}")
             continue
         mapping = {}
-        index = {(g.dom_dim, g.table): c for c, g in rep.labels.items()}
-        cof = {c: phi for m in range(n + 1) for phi, c in zip(enumerate_cofaces(m, n), cube_precubical(n).cubes[m])}
+        index = {g: c for c, g in rep.labels.items()}
+        cof = {c: phi for m in range(n + 1) for phi, c in zip(enumerate_cofaces(m, n), k.cubes[m])}
         for c in free.all_cubes():
             cell = free.labels[c]
-            mapping[c] = index[(cell.psi.dom_dim, compose(cof[cell.base], cell.psi).table)]
+            mapping[c] = index[compose(cof[cell.base], cell.psi)]
         try:
             StsMap(free, rep, mapping)
         except ValueError as err:

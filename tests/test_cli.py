@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,11 @@ def test_factor_rejects_non_cotransverse_table(capsys):
 def test_budget_exit_code(capsys):
     code = main(["--budget", "1000", "enumerate", "--dom", "4", "--cod", "6", "--count-only"])
     assert code == 3
+
+
+def test_budget_guards_vertex_enumeration(capsys):
+    code, out = run(capsys, "--budget", "100", "enumerate", "--dom", "0", "--cod", "12", "--count-only")
+    assert (code, out) == (3, "")
 
 
 def interval_json(tmp_path):
@@ -244,6 +250,24 @@ def test_machine_output_stable_across_processes():
     # this process draws its own hash seed, a third one
     expected = "\n".join(run_suite("natural-paths", max_dim=2, seed=9, scale=15).machine_lines()) + "\n"
     assert outs == {expected}
+
+
+def test_budget_leaves_the_chain_node_cap_alone(tmp_path, capsys):
+    argv = ["dist", "--input", str(interval_json(tmp_path)), "--chain", "--p", "2,1/4", "--q", "2,3/4"]
+    argv += ["--refinement", "2"]
+    for budget in ([], ["--budget", "5"]):
+        code, out = run(capsys, *budget, "--format", "json", *argv)
+        assert code == 0 and json.loads(out) == {"chain_bound": "1/2", "exhausted": False}
+
+
+def test_check_all_machine_lines_golden(capsys):
+    # the refactor gate: every suite at its default scale, byte for byte
+    code, out = run(capsys, "check", "all")
+    machine = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
+    assert code == 0
+    assert hashlib.sha256(machine.encode()).hexdigest() == (
+        "ac6b5786bcbb935c5483561ec25769b21131a02f182529fee371b6aa1001fcbc"
+    )
 
 
 def test_check_json_mode(capsys):

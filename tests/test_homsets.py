@@ -28,6 +28,7 @@ from transcube.homsets import (
     enumerate_homset,
     factorize,
     is_coface,
+    set_cell_budget,
 )
 
 
@@ -202,6 +203,28 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("TRANSCUBE_BUDGET", "1000")
     with pytest.raises(BudgetExceeded):
         enumerate_homset(4, 5)
+
+
+@pytest.fixture
+def budget():
+    """Sets the process-wide cell budget and restores the default afterwards."""
+    yield set_cell_budget
+    set_cell_budget(None)
+
+
+@pytest.mark.parametrize(
+    "enumerate_maps, m, n", [(enumerate_homset, 4, 4), (enumerate_homset, 0, 10), (enumerate_cofaces, 0, 10)]
+)
+def test_warm_call_honours_a_smaller_budget(budget, enumerate_maps, m, n):
+    maps = enumerate_maps(m, n)  # cached under the default budget
+    budget((len(maps) << m) - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_maps(m, n)
+    budget(len(maps) << m)
+    assert enumerate_maps(m, n) is maps
+    budget(100)
+    with pytest.raises(BudgetExceeded):
+        enumerate_maps(m, n)
 
 
 @pytest.mark.parametrize("top, expected", [(0, 1), (1, 6), (2, 70), (3, 7662)])

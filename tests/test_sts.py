@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from transcube import cube
 from transcube.cube import coface, compose, identity, max_min_collapse, min_max_collapse
-from transcube.homsets import enumerate_cofaces, enumerate_homset
+from transcube.homsets import BudgetExceeded, enumerate_cofaces, enumerate_homset
 from transcube.sts import (
     FreeCell,
     Precubical,
@@ -307,6 +308,39 @@ def test_build_budget_guard(monkeypatch):
     monkeypatch.setenv("TRANSCUBE_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
         representable(3)
+
+
+def test_pushout_charges_its_table_entries(monkeypatch):
+    r2, b2 = representable(2), boundary(2)
+    legs = inclusion_map(b2, r2), inclusion_map(b2, r2)
+    glued = pushout(*legs).sts  # the square doubled along its boundary
+    needed = sum(len(t) for t in glued.face.values()) + sum(
+        len(t) for by in glued.endo.values() for t in by.values()
+    )
+    monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed))
+    assert pushout(*legs).sts.counts() == glued.counts()
+    monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed - 1))
+    with pytest.raises(BudgetExceeded):
+        pushout(*legs)
+
+
+def test_warm_vertex_of_validates_no_map(monkeypatch):
+    r3 = representable(3)
+    top = r3.cubes[3][-1]
+    expected = [r3.vertex_of(top, bits) for bits in range(8)]
+    calls = []
+    real = cube.validate_cotransverse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cube, "validate_cotransverse", counting)
+    assert [r3.vertex_of(top, bits) for bits in range(8)] == expected
+    assert calls == []
+    for bits in (-1, 8):
+        with pytest.raises(ValueError):
+            r3.vertex_of(top, bits)
 
 
 def test_truncation_commutes_with_pushout(cube3_collapse):
