@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 #: Absorbing infinite value of the directed distance.
 INF = float("inf")
@@ -318,17 +318,38 @@ class CubeMap:
         return self.literal()
 
 
+#: Bound on the maps :func:`interned` keeps; every map between cubes up to [4] fits.
+INTERN_MAXSIZE = 1 << 16
+_interned: dict[tuple[int, int, tuple[int, ...]], CubeMap] = {}
+InternInfo = NamedTuple("InternInfo", [("maxsize", int), ("currsize", int)])
+
+
+def interned(m: int, n: int, table: tuple[int, ...]) -> CubeMap:
+    """The shared map ``[m] -> [n]`` with this table, built and validated by
+    :class:`CubeMap` on its first request.  Up to :data:`INTERN_MAXSIZE` maps
+    are kept; past that nothing is evicted and a miss returns a fresh map."""
+    f = _interned.get((m, n, table))
+    if f is None:
+        f = CubeMap(m, n, table)
+        if len(_interned) < INTERN_MAXSIZE:
+            _interned[m, n, table] = f
+    return f
+
+
+interned.cache_info = lambda: InternInfo(INTERN_MAXSIZE, len(_interned))
+
+
 def compose(g: CubeMap, f: CubeMap) -> CubeMap:
     """Composite ``g o f``; requires ``f.cod_dim == g.dom_dim``."""
     if f.cod_dim != g.dom_dim:
         raise ValueError(
             f"cannot compose: inner map lands in [{f.cod_dim}], outer starts at [{g.dom_dim}]"
         )
-    return CubeMap(f.dom_dim, g.cod_dim, tuple(map(g.table.__getitem__, f.table)))
+    return interned(f.dom_dim, g.cod_dim, tuple(map(g.table.__getitem__, f.table)))
 
 
 def identity(n: int) -> CubeMap:
-    return CubeMap(n, n, tuple(range(1 << n)))
+    return interned(n, n, tuple(range(1 << n)))
 
 
 def coface(i: int, alpha: int, n: int) -> CubeMap:
@@ -337,7 +358,7 @@ def coface(i: int, alpha: int, n: int) -> CubeMap:
         raise ValueError(f"coface index {i} out of range for [{n}]")
     if alpha not in (0, 1):
         raise ValueError("coface value must be 0 or 1")
-    return CubeMap(n - 1, n, coface_table(alpha << (i - 1), tuple(p for p in range(n) if p != i - 1)))
+    return interned(n - 1, n, coface_table(alpha << (i - 1), tuple(p for p in range(n) if p != i - 1)))
 
 
 def symmetry(i: int, n: int) -> CubeMap:

@@ -22,10 +22,11 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
-from .cube import CubeMap, bit_height, coface, coface_table, compose, extract_bits, split_coordinates
+from .cube import CubeMap, bit_height, coface, coface_table, compose, extract_bits, interned, split_coordinates
 
 DEFAULT_BUDGET = 10_000_000
 _BUDGET_ENV = "TRANSCUBE_BUDGET"
+_BUDGET_KEY = os.environ.encodekey(_BUDGET_ENV)
 _budget_override: int | None = None
 
 
@@ -44,10 +45,9 @@ def cell_budget() -> int:
     the TRANSCUBE_BUDGET environment variable, then the default."""
     if _budget_override is not None:
         return _budget_override
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
+    if _BUDGET_KEY not in os.environ._data:  # os.environ.get raises KeyError twice when unset
         return DEFAULT_BUDGET
-    return int(raw)
+    return int(os.environ[_BUDGET_ENV])
 
 
 def _levels(m: int) -> list[list[int]]:
@@ -152,7 +152,7 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
             dfs(1)
 
     tables.sort()
-    return tuple(CubeMap(m, n, t) for t in tables)
+    return tuple(interned(m, n, t) for t in tables)
 
 
 def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
@@ -200,7 +200,7 @@ def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
         for free in combinations(range(n), m)
         for base in coface_table(0, tuple(i for i in range(n) if i not in free))
     )
-    return tuple(CubeMap(m, n, t) for t in tables)
+    return tuple(interned(m, n, t) for t in tables)
 
 
 def is_coface(f: CubeMap) -> bool:
@@ -247,8 +247,8 @@ def factorize(f: CubeMap) -> Factorization:
     free, _ = split_coordinates(lo, f.table[-1], n)
     if len(free) != m:
         raise ValueError("map does not span a face of the expected dimension")
-    psi = CubeMap(m, m, tuple(extract_bits(fx, free) for fx in f.table))
-    phi = CubeMap(m, n, coface_table(lo, free))
+    psi = interned(m, m, tuple(extract_bits(fx, free) for fx in f.table))
+    phi = interned(m, n, coface_table(lo, free))
 
     if compose(phi, psi).table != f.table:
         raise ValueError(f"factorization failed to reconstruct {f.literal()}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cube import CubeMap, Vertex, bits_leq, coface_table, compose, split_coordinates
+from .cube import CubeMap, Vertex, bits_leq, coface_table, compose, interned, split_coordinates
 from .homsets import factorize
 from .topo import point_height, t_eval
 
@@ -294,7 +294,7 @@ def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
 @lru_cache(maxsize=4096)
 def _induced_coface(lo: int, hi: int, n: int) -> CubeMap:
     free, _ = split_coordinates(lo, hi, n)
-    return CubeMap(len(free), n, coface_table(lo, free))
+    return interned(len(free), n, coface_table(lo, free))
 
 
 def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:

@@ -59,6 +59,7 @@ class Sts:
         for n, ids in self.cubes.items():
             for c in ids:
                 self.dim_of[c] = n
+        self._vertex_ids: dict[int, tuple[int, ...]] = {}  # per cube, filled by vertex_of
 
     # -- queries ----------------------------------------------------------
 
@@ -89,11 +90,14 @@ class Sts:
         return c
 
     def vertex_of(self, cube_id: int, bits: int) -> int:
-        """A vertex of a cube as a vertex of the whole set."""
-        vertices = enumerate_homset(0, self.dim_of[cube_id])  # vertices[bits].table == (bits,)
-        if not 0 <= bits < len(vertices):
+        """A vertex of a cube as a vertex of the whole set, computed once per cube."""
+        ids = self._vertex_ids.get(cube_id)
+        if ids is None:
+            vertices = enumerate_homset(0, self.dim_of[cube_id])  # vertices[bits].table == (bits,)
+            ids = self._vertex_ids[cube_id] = tuple(self.act(v, cube_id) for v in vertices)
+        if not 0 <= bits < len(ids):
             raise ValueError(f"{bits} is not a vertex of cube {cube_id}")
-        return self.act(vertices[bits], cube_id)
+        return ids[bits]
 
 
 def check_functoriality(sts: Sts, exhaustive_dim: int = 3) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from transcube import homsets
+from transcube import cube, homsets
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -28,9 +28,10 @@ def bench_module(monkeypatch):
 
 
 def test_factorization_caches_are_bounded():
-    for cached in (homsets.factorize, homsets.decompose_coface):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+    for cached in (homsets.factorize, homsets.decompose_coface, cube.interned):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
+        assert info.currsize <= info.maxsize
 
 
 def test_benchmark_cache_snapshot_resolves(bench_module):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,8 @@ from transcube.cube import (
     validate_cotransverse,
     vertices,
 )
-from transcube.homsets import enumerate_homset
+from transcube.homsets import composable_pairs, enumerate_homset, factorize
+from transcube.paths import induced_path_map
 
 
 def test_height_examples():
@@ -256,19 +259,89 @@ def test_cubemap_hash_and_equality():
     assert f != "x" and not (f == "x") and f == f
 
 
-def test_every_construction_validates(monkeypatch):
+@pytest.fixture
+def validations(monkeypatch):
+    """An empty intern, and the ``(m, n, table)`` of every validation from here on."""
+    monkeypatch.setattr(cube, "_interned", {})
     calls = []
     real = cube.validate_cotransverse
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(table, m, n, pairwise=False):
+        calls.append((m, n, table))
+        return real(table, m, n, pairwise)
 
     monkeypatch.setattr(cube, "validate_cotransverse", counting)
+    return calls
+
+
+def test_every_map_is_validated_once_at_construction(monkeypatch, validations):
+    built = []
+    post_init = CubeMap.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(CubeMap, "__post_init__", recording)
+    for _ in range(2):
+        for f, g in composable_pairs(2):
+            gf = compose(g, f)
+            factorize(gf).composite
+            for a, b in product(range(1 << gf.dom_dim), repeat=2):
+                if a != b and bits_leq(a, b):
+                    induced_path_map(gf, Vertex(gf.dom_dim, a), Vertex(gf.dom_dim, b))
+        identity(2)
+        coface(1, 0, 2)
+    assert built
+    assert validations == [(f.dom_dim, f.cod_dim, f.table) for f in built]
+    assert len(set(validations)) == len(built)
+    assert all(cube._interned[f.dom_dim, f.cod_dim, f.table] is f for f in built)
+
+
+def test_repeated_compose_returns_the_object_validated_once(validations):
     f, g = max_min_collapse(), symmetry(1, 2)
-    compose(f, g)
-    compose(f, g)
-    assert len(calls) == 4
+    del validations[:]
+    gf = compose(f, g)
+    assert validations == [(2, 2, gf.table)]
+    assert compose(f, g) is gf and compose(f, g) is gf
+    assert len(validations) == 1
+
+
+def test_compose_returns_the_homset_object_exhaustive_dims_le_3():
+    homs: dict[tuple[int, int], dict[tuple[int, ...], CubeMap]] = {}
+    pairs = composable_pairs(3)
+    assert len(pairs) == 7662
+    for f, g in pairs:
+        m, p = f.dom_dim, g.cod_dim
+        if (m, p) not in homs:
+            homs[m, p] = {h.table: h for h in enumerate_homset(m, p)}
+        table = tuple(g.table[x] for x in f.table)
+        assert validate_cotransverse(table, m, p, pairwise=True) is None
+        gf = compose(g, f)
+        assert gf is homs[m, p][table]
+        assert gf == CubeMap(m, p, table)
+
+
+def test_intern_is_bounded(monkeypatch, validations):
+    monkeypatch.setattr(cube, "INTERN_MAXSIZE", 4)
+    for f, g in composable_pairs(2):
+        key = (f.dom_dim, g.cod_dim, tuple(g.table[x] for x in f.table))
+        kept = cube._interned.get(key)
+        before = len(validations)
+        gf = compose(g, f)
+        assert len(cube._interned) <= 4
+        if kept is None:
+            assert validations[before:] == [key]
+            assert gf in enumerate_homset(f.dom_dim, g.cod_dim)
+        else:
+            assert gf is kept and len(validations) == before
+    assert cube.interned.cache_info() == (4, 4)
+    del validations[:]
+    literals = [CubeMap.from_literal("2>2:0,1,1,3") for _ in range(3)]
+    assert len(validations) == 3 and literals[0] is not literals[1]
+    with pytest.raises(ValueError):
+        CubeMap.from_literal("2>2:0,1,1,2")
+    assert len(validations) == 4
 
 
 def test_preimage_cache_is_bounded(cube3_collapse):
