@@ -18,7 +18,7 @@ table can never circulate as a :class:`CubeMap`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -229,7 +229,7 @@ def _minimal_preimages(m: int, n: int, table: tuple[int, ...]) -> tuple[tuple[in
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*>\s*(\d+)\s*:\s*(.*)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeMap:
     """A validated cotransverse map ``[dom_dim] -> [cod_dim]``.
 
@@ -241,6 +241,7 @@ class CubeMap:
     dom_dim: int
     cod_dim: int
     table: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bad = validate_cotransverse(self.table, self.dom_dim, self.cod_dim)

@@ -58,24 +58,31 @@ def _levels(m: int) -> list[list[int]]:
     return out
 
 
-def charge(cells: int, what: str) -> None:
-    """The one budget rule: materializing ``cells`` table cells for ``what``
-    raises :class:`BudgetExceeded` when ``cells`` exceeds :func:`cell_budget`.
-    Hom-sets, coface sets and action tables all charge through here."""
+def charge(cells: int, what: str, *args: object) -> None:
+    """The one budget rule: materializing ``cells`` table cells for
+    ``what % args`` raises :class:`BudgetExceeded` when ``cells`` exceeds
+    :func:`cell_budget`.  Hom-sets, coface sets and action tables all charge
+    through here; the label is formatted only when the charge is refused."""
     budget = cell_budget()
     if cells > budget:
-        raise BudgetExceeded(f"{what} needs {cells} cells, over the budget of {budget}")
+        raise BudgetExceeded(f"{what % args} needs {cells} cells, over the budget of {budget}")
+
+
+#: Bound on the ``(m, n)`` entries each hom-set cache keeps; every pair with
+#: ``m, n < 16`` fits, far beyond what any cell budget lets a search reach.
+HOMSET_CACHE_MAXSIZE = 256
 
 
 def _charged(body):
     """A cached ``(m, n) -> maps`` body behind a gate that charges the
     ``len(maps) << m`` cells of its result on every call, warm or cold."""
-    cached = lru_cache(maxsize=None)(body)
+    cached = lru_cache(maxsize=HOMSET_CACHE_MAXSIZE)(body)
+    label = body.__name__ + "(%s, %s)"
 
     @wraps(body)
     def gate(m: int, n: int) -> tuple[CubeMap, ...]:
         maps = cached(m, n)
-        charge(len(maps) << m, f"{body.__name__}({m}, {n})")
+        charge(len(maps) << m, label, m, n)
         return maps
 
     gate.cache_info, gate.cache_clear = cached.cache_info, cached.cache_clear

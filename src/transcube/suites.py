@@ -15,9 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import batch
 from .cube import (
     CubeMap,
     Vertex,
@@ -202,6 +199,11 @@ def suite_t_oracle(report: CheckSuiteReport, max_dim: int, rnd: random.Random, s
 
 
 def suite_t_functoriality(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
+    # numpy loads here, not at import, so commands that evaluate no batch start without it
+    import numpy as np
+
+    from . import batch
+
     rng = np.random.default_rng(rnd.randrange(2**32))
     for f, g in composable_pairs(max_dim):
         pts = batch.random_points(rng, f.dom_dim, scale, DENOMINATOR)
@@ -216,6 +218,10 @@ def suite_t_functoriality(report: CheckSuiteReport, max_dim: int, rnd: random.Ra
 
 
 def suite_quasi_isometry(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
+    import numpy as np
+
+    from . import batch
+
     rng = np.random.default_rng(rnd.randrange(2**32))
     for f in _all_maps(max_dim):
         if f.dom_dim == 0:

@@ -47,3 +47,10 @@ def test_benchmark_api_tables_resolve(bench_module, workload):
     for layer, functions in table.items():
         for name, fn in functions.items():
             assert callable(fn), (layer, name)
+
+
+def test_homset_caches_are_bounded():
+    for gate in (homsets.enumerate_homset, homsets.enumerate_cofaces):
+        info = gate.cache_info()
+        assert info.maxsize == homsets.HOMSET_CACHE_MAXSIZE
+        assert info.currsize <= info.maxsize

@@ -298,3 +298,40 @@ def test_script_attaching_a_cube_the_boundary_lacks_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert "mapping names cube 5, which is not a cube of the source" in err
+
+
+def _child(*args: str):
+    """Run ``python args...`` in a fresh interpreter that imports the same
+    transcube as this process, installed or not."""
+    import os
+    import subprocess
+    import sys
+
+    import transcube
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(transcube.__file__)))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _imported(importtime_log: str) -> set[str]:
+    # ``-X importtime`` writes one "import time: self | cumulative | name" line per module
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines() if line.startswith("import time:")}
+
+
+def test_cli_starts_without_numpy():
+    proc = _child("-c", "import sys, transcube, transcube.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+    proc = _child("-X", "importtime", "-m", "transcube.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+    modules = _imported(proc.stderr)
+    assert "transcube.suites" in modules and "numpy" not in modules
+
+    # the batch suites import numpy when they run
+    proc = _child("-X", "importtime", "-m", "transcube.cli", "--format", "json", "check", "t-functoriality", "--max-dim", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failures"] == []
+    assert "numpy" in _imported(proc.stderr)
