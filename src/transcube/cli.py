@@ -82,8 +82,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:  # a missing file, a directory, no permission: a usage error
+        raise CliError(str(err)) from err
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -312,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as err:
         print(f"budget: {err}", file=sys.stderr)
         return BUDGET_ERROR
-    except (CliError, ValueError, KeyError, FileNotFoundError) as err:
+    except (CliError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     finally:

@@ -103,10 +103,6 @@ class Vertex:
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.dim))
 
-    def leq(self, other: Vertex) -> bool:
-        self._check_dim(other)
-        return bits_leq(self.bits, other.bits)
-
     def _check_dim(self, other: Vertex) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
@@ -166,11 +162,12 @@ def validate_cotransverse(
     """
     if m > n:
         return Violation("shape", None, f"no cotransverse maps [{m}]->[{n}] with {m} > {n}")
-    if len(table) != 1 << m:
-        return Violation("shape", None, f"table must have {1 << m} entries, got {len(table)}")
-    size = 1 << n
+    # No table has 2^64 entries, and 2^m of a huge literal dimension would exhaust memory.
+    if m >= 64 or len(table) != 1 << m:
+        size = 1 << m if m < 64 else f"2^{m}"
+        return Violation("shape", None, f"table must have {size} entries, got {len(table)}")
     for b in table:
-        if not 0 <= b < size:
+        if b >> n:  # a mask at or above 2^n, or a negative one (-1 after the shift)
             return Violation("shape", None, f"image mask {b} out of range for [{n}]")
 
     def pair(x: int, y: int) -> tuple[Vertex, Vertex]:

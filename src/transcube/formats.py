@@ -21,20 +21,30 @@ from .sts import Precubical
 def _rat(value: Any) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"rational expected, got {value!r}")
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _of(kind: type, value: Any, what: str) -> Any:
+    """``value`` when it has the container type ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def parse_precubical(data: dict) -> Precubical:
-    max_dim = int(data["max_dim"])
+    max_dim = int(_of(dict, data, "a precubical set")["max_dim"])
     cubes = {
-        int(dim): tuple(int(c) for c in ids)
-        for dim, ids in data.get("cubes", {}).items()
+        int(dim): tuple(int(c) for c in _of(list, ids, "cube ids"))
+        for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
     }
     for n in range(max_dim + 1):
         cubes.setdefault(n, ())
     faces = {}
-    for cid, table in data.get("faces", {}).items():
-        for key, target in table.items():
+    for cid, table in _of(dict, data.get("faces", {}), "faces").items():
+        for key, target in _of(dict, table, "a face table").items():
             i, alpha = (int(tok) for tok in key.split(","))
             faces[(int(cid), i, alpha)] = int(target)
     return Precubical(max_dim, cubes, faces)
@@ -42,11 +52,12 @@ def parse_precubical(data: dict) -> Precubical:
 
 def parse_script(data: list) -> list[dict]:
     script = []
-    for entry in data:
+    for entry in _of(list, data, "a build script"):
+        entry = _of(dict, entry, "a script entry")
         script.append(
             {
                 "dim": int(entry["dim"]),
-                "attach": {int(k): int(v) for k, v in entry.get("attach", {}).items()},
+                "attach": {int(k): int(v) for k, v in _of(dict, entry.get("attach", {}), "attach").items()},
             }
         )
     return script
@@ -54,11 +65,12 @@ def parse_script(data: list) -> list[dict]:
 
 def parse_dpath(data: dict) -> DPath:
     legs = []
-    for leg in data["legs"]:
+    for leg in _of(list, _of(dict, data, "a path")["legs"], "legs"):
+        leg = _of(dict, leg, "a leg")
         dim = int(leg["dim"])
         pairs = []
-        for row in leg["breakpoints"]:
-            t, *coords = row
+        for row in _of(list, leg["breakpoints"], "breakpoints"):
+            t, *coords = _of(list, row, "a breakpoint")
             pairs.append((_rat(t), tuple(_rat(c) for c in coords)))
         legs.append((int(leg.get("cube", 0)), segment_path(dim, pairs)))
     return DPath(tuple(legs))

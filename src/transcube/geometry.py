@@ -33,8 +33,7 @@ from numbers import Rational
 from operator import le
 
 from .cube import INF
-from .paths import DPath
-from .topo import point_height
+from .paths import DPath, naturality_certificate
 from .sts import Sts
 
 
@@ -202,7 +201,4 @@ def chain_distance_sample(
 def dpath_length(p: DPath) -> Fraction:
     """Total height climbed over the legs of a multi-cube directed path;
     for natural paths this is exactly the parametrization span."""
-    total = Fraction(0)
-    for _, seg in p.legs:
-        total += point_height(seg.end) - point_height(seg.start)
-    return total
+    return naturality_certificate(p).total_length

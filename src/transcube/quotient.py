@@ -1,4 +1,4 @@
-"""Deterministic union-find and quotient sets.
+"""Deterministic quotient sets, computed by union-find.
 
 Coends, pushouts and latching objects are all computed here as quotients of
 finite disjoint unions by generated identifications.  Elements are
@@ -12,33 +12,19 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 
-class UnionFind:
-    """Union-find over hashable elements with insertion-order canonical reps."""
+class QuotientSet:
+    """A finite set presented as representatives of generated identifications."""
 
-    def __init__(self, elements: Iterable[Hashable] = ()) -> None:
+    def __init__(self, elements: Iterable[Hashable]) -> None:
         self._parent: dict[Hashable, Hashable] = {}
         self._order: dict[Hashable, int] = {}
         for e in elements:
-            self.add(e)
+            if e not in self._parent:
+                self._parent[e] = e
+                self._order[e] = len(self._order)
 
-    def add(self, e: Hashable) -> None:
-        if e not in self._parent:
-            self._parent[e] = e
-            self._order[e] = len(self._order)
-
-    def __contains__(self, e: Hashable) -> bool:
-        return e in self._parent
-
-    def find(self, e: Hashable) -> Hashable:
-        root = e
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[e] != root:  # path compression
-            self._parent[e], e = root, self._parent[e]
-        return root
-
-    def unite(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
+    def identify(self, a: Hashable, b: Hashable) -> None:
+        ra, rb = self.class_of(a), self.class_of(b)
         if ra == rb:
             return
         # Older element wins, keeping representatives stable.
@@ -46,43 +32,29 @@ class UnionFind:
             ra, rb = rb, ra
         self._parent[rb] = ra
 
+    def class_of(self, e: Hashable) -> Hashable:
+        """The root of ``e``'s class.  "Older root wins" makes it the
+        least-recently registered member, i.e. the canonical representative."""
+        root = e
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[e] != root:  # path compression
+            self._parent[e], e = root, self._parent[e]
+        return root
+
     def classes(self) -> list[list[Hashable]]:
         """Equivalence classes in registration order, members ordered too."""
         by_root: dict[Hashable, list[Hashable]] = {}
         for e in self._order:  # insertion order
-            by_root.setdefault(self.find(e), []).append(e)
+            by_root.setdefault(self.class_of(e), []).append(e)
         return list(by_root.values())
 
     def representatives(self) -> list[Hashable]:
         return [cls[0] for cls in self.classes()]
 
-    def class_count(self) -> int:
+    def __len__(self) -> int:
         """Number of classes: the elements that are their own root."""
         return sum(1 for e, parent in self._parent.items() if e == parent)
-
-
-class QuotientSet:
-    """A finite set presented as representatives of generated identifications."""
-
-    def __init__(self, elements: Iterable[Hashable]) -> None:
-        self._uf = UnionFind(elements)
-
-    def identify(self, a: Hashable, b: Hashable) -> None:
-        self._uf.unite(a, b)
-
-    def class_of(self, e: Hashable) -> Hashable:
-        # "Older root wins" makes the root the least-recently registered
-        # member, i.e. the canonical representative.
-        return self._uf.find(e)
-
-    def classes(self) -> list[list[Hashable]]:
-        return self._uf.classes()
-
-    def representatives(self) -> list[Hashable]:
-        return self._uf.representatives()
-
-    def __len__(self) -> int:
-        return self._uf.class_count()
 
     def is_empty(self) -> bool:
         return len(self) == 0

@@ -101,8 +101,8 @@ class CotransverseSetObj:
     ) -> None:
         self.max_dim = max_dim
         self.values = {n: tuple(values.get(n, ())) for n in range(max_dim + 1)}
-        self.coface_maps = {k: dict(v) for k, v in coface_maps.items()}
-        self.endo_maps = {n: {e: dict(t) for e, t in by.items()} for n, by in endo_maps.items()}
+        self.coface_maps = dict(coface_maps)  # the tables themselves are shared, never mutated
+        self.endo_maps = {n: dict(by) for n, by in endo_maps.items()}
 
     def apply(self, f: CubeMap, a: Hashable) -> Hashable:
         fac = factorize(f)

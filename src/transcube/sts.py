@@ -18,16 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .cube import CubeMap, compose, identity
+from .cube import CubeMap, coface, compose, identity
 from .homsets import (
     charge,
     composable_pairs,
     decompose_coface,
+    enumerate_cofaces,
     enumerate_homset,
     factorize,
     generating_family,
 )
-from .quotient import UnionFind
+from .quotient import QuotientSet
 
 
 class Sts:
@@ -327,9 +328,6 @@ class Precubical:
                 out[c] = n
         return out
 
-    def face(self, c: int, i: int, alpha: int) -> int:
-        return self.faces[(c, i, alpha)]
-
     def pull_coface(self, phi: CubeMap, c: int) -> int:
         """Pullback along a coface composite, one elementary step at a time."""
         for dim, i, alpha in reversed(decompose_coface(phi)):
@@ -361,29 +359,16 @@ def free_sts(k: Precubical) -> Sts:
 def cube_precubical(n: int, max_dim: int | None = None) -> Precubical:
     """The precubical cube: all coface composites into ``[n]``, acting by
     precomposition.  Generating ids are assigned in enumeration order."""
-    from .homsets import enumerate_cofaces
-
     top = n if max_dim is None else max_dim
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    cubes: dict[int, tuple[int, ...]] = {}
-    counter = 0
-    for m in range(top + 1):
-        row = []
-        for phi in enumerate_cofaces(m, n):
-            ids[(m, phi.table)] = counter
-            row.append(counter)
-            counter += 1
-        cubes[m] = tuple(row)
-    faces = {}
-    from .cube import coface as elementary_coface
-
-    for m in range(1, top + 1):
-        for phi in enumerate_cofaces(m, n):
-            c = ids[(m, phi.table)]
-            for i in range(1, m + 1):
-                for alpha in (0, 1):
-                    sub = compose(phi, elementary_coface(i, alpha, m))
-                    faces[(c, i, alpha)] = ids[(m - 1, sub.table)]
+    cubes, labels = _number([enumerate_cofaces(m, n) for m in range(top + 1)])
+    ids = {phi: c for c, phi in labels.items()}
+    faces = {
+        (c, i, alpha): ids[compose(phi, coface(i, alpha, m))]
+        for m in range(1, top + 1)
+        for c, phi in zip(cubes[m], enumerate_cofaces(m, n))
+        for i in range(1, m + 1)
+        for alpha in (0, 1)
+    }
     return Precubical(top, cubes, faces)
 
 
@@ -416,17 +401,13 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
     left, right = j.dst, l.dst
     max_dim = max(left.max_dim, right.max_dim)
 
-    uf = UnionFind()
-    for c in left.all_cubes():
-        uf.add(("L", c))
-    for c in right.all_cubes():
-        uf.add(("R", c))
+    quot = QuotientSet([("L", c) for c in left.all_cubes()] + [("R", c) for c in right.all_cubes()])
     for a in j.src.all_cubes():
-        uf.unite(("L", j(a)), ("R", l(a)))
+        quot.identify(("L", j(a)), ("R", l(a)))
 
     sides = {"L": left, "R": right}
     graded: list[list[tuple]] = [[] for _ in range(max_dim + 1)]
-    for cls in uf.classes():
+    for cls in quot.classes():
         dims = {sides[side].dim_of[c] for side, c in cls}
         if len(dims) != 1:
             raise ValueError("glued cubes of different dimensions")

@@ -169,7 +169,10 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if not text:
         return ()
-    coords = tuple(Fraction(tok.strip()) for tok in text.split(","))
+    try:
+        coords = tuple(Fraction(tok.strip()) for tok in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in point {text!r}") from None
     for c in coords:
         if not 0 <= c <= 1:
             raise ValueError(f"coordinate {c} outside [0, 1]")

@@ -7,7 +7,7 @@ import pytest
 
 from transcube.cli import main
 from transcube.cube import CubeMap
-from transcube.suites import run_suite
+from transcube.suites import run_suite, suite_names
 from transcube.topo import parse_point
 
 
@@ -298,6 +298,46 @@ def test_script_attaching_a_cube_the_boundary_lacks_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert "mapping names cube 5, which is not a cube of the source" in err
+
+
+_BAD_JSON = {
+    "list": [1, 2],
+    "string": "abc",
+    "object": {"dim": 0},
+    "zero": {"legs": [{"dim": 1, "breakpoints": [["0", "0"], ["1", "1/0"]]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--map", "1>1:0,1", "--point", "1/0"],
+        ["dist", "--points", "1/0", "1"],
+        ["dpath", "verify", "--input", "{zero}"],
+        ["factor", "--map", "100000000000>100000000000:0"],
+        *(["free", "--input", f] for f in ("{list}", "{string}", "{dir}")),
+        *(["dist", "--input", f, "--from", "0", "--to", "0"] for f in ("{list}", "{string}", "{dir}")),
+        *(["dpath", "verify", "--input", f] for f in ("{list}", "{string}", "{dir}")),
+        *(["cells", "--script", f] for f in ("{object}", "{string}", "{dir}")),
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
+    # zero denominators, a huge literal dimension, JSON of the wrong shape
+    # and a directory in place of a file: exit 2 with a one-line message
+    files = {"dir": str(tmp_path)}
+    for name, data in _BAD_JSON.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code = main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_dim", [0, -1])
+@pytest.mark.parametrize("suite", suite_names())
+def test_every_suite_runs_below_dimension_one(capsys, suite, max_dim):
+    assert main(["check", suite, f"--max-dim={max_dim}"]) == 0
 
 
 def _child(*args: str):
