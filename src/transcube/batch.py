@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube import CubeMap, split_coordinates
+from .cube import CubeMap
 from .homsets import factorize
 
 
@@ -37,12 +37,10 @@ def t_eval_batch(f: CubeMap, pts: np.ndarray, denominator: int = 1) -> np.ndarra
     if f.is_endo():
         return _maxmin_batch(f, pts, np.empty_like(pts), range(f.cod_dim))
     fac = factorize(f)
-    free, consts = split_coordinates(fac.phi.table[0], fac.phi.table[-1], f.cod_dim)
     out = np.empty((pts.shape[0], f.cod_dim), dtype=pts.dtype)
-    if free:
-        _maxmin_batch(fac.psi, pts, out, free)
-    for pos, alpha in consts:
-        out[:, pos] = denominator * alpha
+    _maxmin_batch(fac.psi, pts, out, fac.free)
+    for _, i, alpha in fac.steps:
+        out[:, i - 1] = denominator * alpha
     return out
 
 

@@ -81,10 +81,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_float(literal: str):
+    raise CliError(f"JSON number {literal} is not an integer; rationals travel as strings")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as err:  # a missing file, a directory, no permission: a usage error
         raise CliError(str(err)) from err
 
@@ -164,9 +168,9 @@ def cmd_dpath(args: argparse.Namespace) -> int:
 
 
 def cmd_free(args: argparse.Namespace) -> int:
-    k = parse_precubical(_load_json(args.input))
+    k = parse_precubical(data := _load_json(args.input))
     if args.max_dim is not None and args.max_dim != k.max_dim:
-        k = parse_precubical({**_load_json(args.input), "max_dim": args.max_dim})
+        k = parse_precubical({**data, "max_dim": args.max_dim})
     sts = free_sts(k)
     counts = sts.counts()
     _print(

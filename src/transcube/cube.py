@@ -36,7 +36,6 @@ def bits_leq(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
-@lru_cache(maxsize=4096)
 def split_coordinates(lo: int, hi: int, n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Free and constant coordinates of the face of ``[n]`` spanned by ``lo <= hi``.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+from .homsets import charge
 from .paths import DPath, segment_path
 from .sts import Precubical
 
@@ -34,19 +35,28 @@ def _of(kind: type, value: Any, what: str) -> Any:
     return value
 
 
+def _not_integer(err: TypeError, what: str) -> ValueError:
+    # int() of a JSON null, array or object raises TypeError
+    return ValueError(f"integer expected in {what}: {err}")
+
+
 def parse_precubical(data: dict) -> Precubical:
-    max_dim = int(_of(dict, data, "a precubical set")["max_dim"])
-    cubes = {
-        int(dim): tuple(int(c) for c in _of(list, ids, "cube ids"))
-        for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
-    }
+    try:
+        max_dim = int(_of(dict, data, "a precubical set")["max_dim"])
+        cubes = {
+            int(dim): tuple(int(c) for c in _of(list, ids, "cube ids"))
+            for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
+        }
+        faces = {}
+        for cid, table in _of(dict, data.get("faces", {}), "faces").items():
+            for key, target in _of(dict, table, "a face table").items():
+                i, alpha = (int(tok) for tok in key.split(","))
+                faces[(int(cid), i, alpha)] = int(target)
+    except TypeError as err:
+        raise _not_integer(err, "a precubical set") from None
+    charge(max_dim + 1, "the levels of a precubical set of dimension %s", max_dim)
     for n in range(max_dim + 1):
         cubes.setdefault(n, ())
-    faces = {}
-    for cid, table in _of(dict, data.get("faces", {}), "faces").items():
-        for key, target in _of(dict, table, "a face table").items():
-            i, alpha = (int(tok) for tok in key.split(","))
-            faces[(int(cid), i, alpha)] = int(target)
     return Precubical(max_dim, cubes, faces)
 
 
@@ -54,12 +64,12 @@ def parse_script(data: list) -> list[dict]:
     script = []
     for entry in _of(list, data, "a build script"):
         entry = _of(dict, entry, "a script entry")
-        script.append(
-            {
-                "dim": int(entry["dim"]),
-                "attach": {int(k): int(v) for k, v in _of(dict, entry.get("attach", {}), "attach").items()},
-            }
-        )
+        try:
+            dim = int(entry["dim"])
+            attach = {int(k): int(v) for k, v in _of(dict, entry.get("attach", {}), "attach").items()}
+        except TypeError as err:
+            raise _not_integer(err, "a script entry") from None
+        script.append({"dim": dim, "attach": attach})
     return script
 
 
@@ -67,12 +77,15 @@ def parse_dpath(data: dict) -> DPath:
     legs = []
     for leg in _of(list, _of(dict, data, "a path")["legs"], "legs"):
         leg = _of(dict, leg, "a leg")
-        dim = int(leg["dim"])
+        try:
+            cube, dim = int(leg.get("cube", 0)), int(leg["dim"])
+        except TypeError as err:
+            raise _not_integer(err, "a leg") from None
         pairs = []
         for row in _of(list, leg["breakpoints"], "breakpoints"):
             t, *coords = _of(list, row, "a breakpoint")
             pairs.append((_rat(t), tuple(_rat(c) for c in coords)))
-        legs.append((int(leg.get("cube", 0)), segment_path(dim, pairs)))
+        legs.append((cube, segment_path(dim, pairs)))
     return DPath(tuple(legs))
 
 

@@ -50,14 +50,6 @@ def cell_budget() -> int:
     return int(os.environ[_BUDGET_ENV])
 
 
-def _levels(m: int) -> list[list[int]]:
-    """Vertex masks of the m-cube grouped by height, masks ascending."""
-    out: list[list[int]] = [[] for _ in range(m + 1)]
-    for x in range(1 << m):
-        out[bit_height(x)].append(x)
-    return out
-
-
 def charge(cells: int, what: str, *args: object) -> None:
     """The one budget rule: materializing ``cells`` table cells for
     ``what % args`` raises :class:`BudgetExceeded` when ``cells`` exceeds
@@ -108,9 +100,8 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
     what = f"enumerate_homset({m}, {n})"
     charge(comb(n, m) << n, what)
 
-    order: list[int] = []  # vertices by (height, mask); images assigned in this order
-    for level in _levels(m):
-        order.extend(level)
+    # vertices by (height, mask); images are assigned in this order
+    order = sorted(range(1 << m), key=lambda x: (bit_height(x), x))
     covers_below = [
         [x & ~(1 << i) for i in range(m) if (x >> i) & 1] for x in range(1 << m)
     ]
@@ -225,17 +216,34 @@ def count_homset(m: int, n: int) -> int:
     return endos * comb(n, m) * (1 << (n - m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Unique normal form ``f = phi o psi`` with ``psi`` an endomap of the
-    source cube and ``phi`` a composite of cofaces."""
+    source cube and ``phi`` a composite of cofaces.  ``free`` holds the
+    positions of ``[n]`` carrying ``psi`` (0-based, ascending); ``steps``
+    writes ``phi`` as insertions ``(n1, i1, a1), (n2, i2, a2), ...``, at
+    ``i1`` into ``[n1]`` first and upward from there, so every ``i - 1`` is
+    also the position of a constant coordinate of ``[n]``."""
 
     psi: CubeMap
     phi: CubeMap
+    free: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...]
 
     @property
     def composite(self) -> CubeMap:
         return compose(self.phi, self.psi)
+
+
+@lru_cache(maxsize=4096)
+def coface_part(lo: int, hi: int, n: int) -> tuple[CubeMap, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """``phi``, ``free`` and ``steps`` of :class:`Factorization` for the face
+    of ``[n]`` from ``lo`` up to ``hi``, charging the ``n`` coordinates first."""
+    charge(n, "coface_part(%s, %s, %s)", lo, hi, n)
+    free, consts = split_coordinates(lo, hi, n)
+    m = len(free)
+    steps = tuple((m + k + 1, pos + 1, alpha) for k, (pos, alpha) in enumerate(consts))
+    return interned(m, n, coface_table(lo, free)), free, steps
 
 
 @lru_cache(maxsize=1 << 16)
@@ -249,32 +257,25 @@ def factorize(f: CubeMap) -> Factorization:
     which can only happen on a table that is not actually cotransverse.
     Results are memoised: normal forms are requested constantly downstream.
     """
-    m, n = f.dom_dim, f.cod_dim
-    lo = f.table[0]
-    free, _ = split_coordinates(lo, f.table[-1], n)
+    m = f.dom_dim
+    phi, free, steps = coface_part(f.table[0], f.table[-1], f.cod_dim)
     if len(free) != m:
         raise ValueError("map does not span a face of the expected dimension")
     psi = interned(m, m, tuple(extract_bits(fx, free) for fx in f.table))
-    phi = interned(m, n, coface_table(lo, free))
 
     if compose(phi, psi).table != f.table:
         raise ValueError(f"factorization failed to reconstruct {f.literal()}")
-    return Factorization(psi, phi)
+    return Factorization(psi, phi, free, steps)
 
 
 @lru_cache(maxsize=4096)
 def decompose_coface(phi: CubeMap) -> tuple[tuple[int, int, int], ...]:
-    """Write a coface composite as elementary insertions.
-
-    Returns ``[(n1, i1, a1), (n2, i2, a2), ...]`` meaning ``phi`` is the
-    insertion at coordinate ``i1`` into ``[n1]`` first, then ``i2`` into
-    ``[n2]``, and so on upward.  Inserting at ascending coordinate positions
-    keeps later indices stable.
-    """
-    if not is_coface(phi):
+    """The elementary insertions of a coface composite, the ``steps`` of its
+    factorization; raises when ``phi`` is not a composite of cofaces."""
+    fac = factorize(phi)
+    if not fac.psi.is_identity():
         raise ValueError(f"{phi.literal()} is not a composite of cofaces")
-    _, consts = split_coordinates(phi.table[0], phi.table[-1], phi.cod_dim)
-    return tuple((phi.dom_dim + k + 1, pos + 1, alpha) for k, (pos, alpha) in enumerate(consts))
+    return fac.steps
 
 
 @dataclass(frozen=True)

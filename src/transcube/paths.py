@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .cube import CubeMap, Vertex, bits_leq, coface_table, compose, interned, split_coordinates
-from .homsets import factorize
+from .cube import CubeMap, Vertex, bits_leq, compose
+from .homsets import coface_part, factorize
 from .topo import point_height, t_eval
 
 Point = tuple[Fraction, ...]
@@ -288,13 +287,7 @@ def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
     alpha._check_dim(beta)
     if not (bits_leq(alpha.bits, beta.bits) and alpha.bits != beta.bits):
         raise ValueError(f"{alpha} is not strictly below {beta}")
-    return _induced_coface(alpha.bits, beta.bits, alpha.dim)
-
-
-@lru_cache(maxsize=4096)
-def _induced_coface(lo: int, hi: int, n: int) -> CubeMap:
-    free, _ = split_coordinates(lo, hi, n)
-    return interned(len(free), n, coface_table(lo, free))
+    return coface_part(alpha.bits, beta.bits, alpha.dim)[0]
 
 
 def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:

@@ -24,12 +24,13 @@ from typing import Callable, Hashable, Mapping
 
 from .cube import CubeMap, compose, identity
 from .homsets import (
+    charge,
     composable_pairs,
     count_homset,
-    decompose_coface,
     enumerate_homset,
     factorize,
     generating_family,
+    is_coface,
 )
 from .quotient import QuotientSet
 from .sts import Sts, action_tables, boundary, family_table
@@ -65,15 +66,7 @@ def boundary_hom_closed_form(p: int, q: int, n: int) -> int:
 def canonical_pairs(quot: QuotientSet, p: int, q: int) -> list[tuple]:
     """Members of shape ``(p, coface composite, endomap)``, one per class
     when the quotient is in its expected form."""
-    out = []
-    for cls in quot.classes():
-        found = [
-            (m, h, g)
-            for (m, h, g) in cls
-            if m == p and factorize(h).psi.is_identity()
-        ]
-        out.append(found)
-    return out
+    return [[(m, h, g) for (m, h, g) in cls if m == p and is_coface(h)] for cls in quot.classes()]
 
 
 def matching_emptiness_check(n: int, m: int) -> bool:
@@ -108,7 +101,7 @@ class CotransverseSetObj:
         fac = factorize(f)
         if f.dom_dim > 0:
             a = self.endo_maps[f.dom_dim][fac.psi][a]
-        for dim, i, alpha in decompose_coface(fac.phi):
+        for dim, i, alpha in fac.steps:
             a = self.coface_maps[(dim, i, alpha)][a]
         return a
 
@@ -131,6 +124,7 @@ def built_obj(
     act: Callable[[CubeMap, Hashable], Hashable],
 ) -> CotransverseSetObj:
     """Materialize the generating-family tables from an action rule."""
+    charge(max_dim + 1, "the levels of a cotransverse object of dimension %s", max_dim)
     vals = [tuple(values(n)) for n in range(max_dim + 1)]
     coface_maps, endo_maps = action_tables(vals, act, contravariant=False)
     return CotransverseSetObj(max_dim, dict(enumerate(vals)), coface_maps, endo_maps)

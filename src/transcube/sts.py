@@ -22,7 +22,6 @@ from .cube import CubeMap, coface, compose, identity
 from .homsets import (
     charge,
     composable_pairs,
-    decompose_coface,
     enumerate_cofaces,
     enumerate_homset,
     factorize,
@@ -84,7 +83,7 @@ class Sts:
             raise ValueError(f"map into [{f.cod_dim}] cannot act on a {n}-cube")
         fac = factorize(f)
         c = cube_id
-        for dim, i, alpha in reversed(decompose_coface(fac.phi)):
+        for dim, i, alpha in reversed(fac.steps):
             c = self.face[(dim, i, alpha)][c]
         if f.dom_dim > 0:
             c = self.endo[f.dom_dim][fac.psi][c]
@@ -328,12 +327,6 @@ class Precubical:
                 out[c] = n
         return out
 
-    def pull_coface(self, phi: CubeMap, c: int) -> int:
-        """Pullback along a coface composite, one elementary step at a time."""
-        for dim, i, alpha in reversed(decompose_coface(phi)):
-            c = self.faces[(c, i, alpha)]
-        return c
-
 
 def free_sts(k: Precubical) -> Sts:
     """The symmetric transverse set freely generated by a precubical set.
@@ -351,25 +344,27 @@ def free_sts(k: Precubical) -> Sts:
         if u.dom_dim == u.cod_dim:
             return FreeCell(compose(cell.psi, u), cell.base)
         fac = factorize(compose(cell.psi, u))
-        return FreeCell(fac.psi, k.pull_coface(fac.phi, cell.base))
+        c = cell.base
+        for _, i, alpha in reversed(fac.steps):
+            c = k.faces[(c, i, alpha)]
+        return FreeCell(fac.psi, c)
 
     return _build(graded, act)
 
 
-def cube_precubical(n: int, max_dim: int | None = None) -> Precubical:
+def cube_precubical(n: int) -> Precubical:
     """The precubical cube: all coface composites into ``[n]``, acting by
     precomposition.  Generating ids are assigned in enumeration order."""
-    top = n if max_dim is None else max_dim
-    cubes, labels = _number([enumerate_cofaces(m, n) for m in range(top + 1)])
+    cubes, labels = _number([enumerate_cofaces(m, n) for m in range(n + 1)])
     ids = {phi: c for c, phi in labels.items()}
     faces = {
         (c, i, alpha): ids[compose(phi, coface(i, alpha, m))]
-        for m in range(1, top + 1)
+        for m in range(1, n + 1)
         for c, phi in zip(cubes[m], enumerate_cofaces(m, n))
         for i in range(1, m + 1)
         for alpha in (0, 1)
     }
-    return Precubical(top, cubes, faces)
+    return Precubical(n, cubes, faces)
 
 
 def boundary_precubical(n: int) -> Precubical:
@@ -456,6 +451,7 @@ def certify_cellular(
     ``|endos| * cells``; a set violating that is not cellular and no script
     can produce it.
     """
+    charge(max_dim + 1, "the levels of a cellular set of dimension %s", max_dim)
     current = empty_sts(max_dim)
     cell_counts = {n: 0 for n in range(max_dim + 1)}
     last_injection: StsMap | None = None

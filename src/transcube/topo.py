@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .cube import INF, CubeMap, split_coordinates
+from .cube import INF, CubeMap
 from .homsets import factorize
 
 Coord = TypeVar("Coord", Fraction, int)
@@ -107,18 +107,16 @@ def t_eval(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
     the factorization contributes constant coordinates (0 or 1 per inserted
     coordinate), so the empty-preimage corner of the formula never arises.
     """
-    _check_point(f, x)
-    zero, one = _constants_like(x)
     if f.is_endo():
         return t_eval_maxmin(f, x)
     fac = factorize(f)
-    free, consts = split_coordinates(fac.phi.table[0], fac.phi.table[-1], f.cod_dim)
+    zero, one = _constants_like(x)
     out = [zero] * f.cod_dim
-    for pos, c in zip(free, t_eval_maxmin(fac.psi, x) if free else ()):
+    for pos, c in zip(fac.free, t_eval_maxmin(fac.psi, x)):  # checks the point
         out[pos] = c
-    for pos, alpha in consts:
+    for _, i, alpha in fac.steps:
         if alpha:
-            out[pos] = one
+            out[i - 1] = one
     return tuple(out)
 
 

@@ -305,6 +305,13 @@ _BAD_JSON = {
     "string": "abc",
     "object": {"dim": 0},
     "zero": {"legs": [{"dim": 1, "breakpoints": [["0", "0"], ["1", "1/0"]]}]},
+    "null_top": {"max_dim": None},
+    "list_top": {"max_dim": [1]},
+    "null_id": {"max_dim": 1, "cubes": {"0": [0, None]}},
+    "null_dim": [{"dim": None}],
+    "float_dim": [{"dim": 0.5}],
+    "inf_dim": [{"dim": float("inf")}],
+    "null_leg": {"legs": [{"dim": None, "breakpoints": [["0"], ["1"]]}]},
 }
 
 
@@ -319,6 +326,9 @@ _BAD_JSON = {
         *(["dist", "--input", f, "--from", "0", "--to", "0"] for f in ("{list}", "{string}", "{dir}")),
         *(["dpath", "verify", "--input", f] for f in ("{list}", "{string}", "{dir}")),
         *(["cells", "--script", f] for f in ("{object}", "{string}", "{dir}")),
+        *(["free", "--input", f] for f in ("{null_top}", "{list_top}", "{null_id}")),
+        *(["cells", "--script", f] for f in ("{null_dim}", "{float_dim}", "{inf_dim}")),
+        ["dpath", "verify", "--input", "{null_leg}"],
     ],
     ids=" ".join,
 )
@@ -375,3 +385,34 @@ def test_cli_starts_without_numpy():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["failures"] == []
     assert "numpy" in _imported(proc.stderr)
+
+
+_HUGE_JSON = {"levels": {"max_dim": 10**12}, "cells": [{"dim": 0}, {"dim": 10**12}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--map", "0>100000000000:0"],
+        ["eval", "--map", "0>100000000000:0", "--point", ""],
+        ["free", "--input", "{levels}"],
+        ["cells", "--script", "{cells}"],
+        ["reedy", "--check", "latching", "--max-dim", "100000000000"],
+    ],
+    ids=" ".join,
+)
+def test_huge_dimension_is_over_budget(tmp_path, argv):
+    # well-formed but huge dimensions exit 3 with a one-line message; the
+    # child's address space is capped at 1 GiB, so code that lists every
+    # coordinate or level fails in seconds instead of allocating tens of GB
+    files = {}
+    for name, data in _HUGE_JSON.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        "from transcube.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _child("-c", code, *(arg.format(**files) for arg in argv))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget: ") and proc.stderr.count("\n") == 1

@@ -258,3 +258,19 @@ def test_coface_insertion_round_trip():
                     assert all((w >> pos) & 1 == (x >> k) & 1 for k, pos in enumerate(free))
                     assert all((w >> pos) & 1 == alpha for pos, alpha in consts)
                     assert extract_bits(w, free) == x
+
+
+def test_factorization_fields_follow_the_cube_rules():
+    # free and steps of every map up to [4], against composed elementary
+    # cofaces and the cube-level insertion and extraction rules
+    for n in range(5):
+        for m in range(n + 1):
+            for f in enumerate_homset(m, n):
+                fac = factorize(f)
+                assert len(fac.free) == m and list(fac.free) == sorted(set(fac.free))
+                rebuilt = identity(m)
+                for dim, i, alpha in fac.steps:
+                    rebuilt = compose(coface(i, alpha, dim), rebuilt)
+                assert rebuilt == fac.phi
+                assert coface_table(f.table[0], fac.free) == fac.phi.table
+                assert all(extract_bits(f.table[x], fac.free) == fac.psi.table[x] for x in range(1 << m))
