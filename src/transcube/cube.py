@@ -18,7 +18,6 @@ table can never circulate as a :class:`CubeMap`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -77,18 +76,65 @@ def extract_bits(bits: int, positions: tuple[int, ...]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Slotted:
+    """Base of the slotted value classes: ``__slots__`` names the fields in
+    order, and equality, hash, repr and pickling read them in that order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Frozen(Slotted):
+    """A :class:`Slotted` whose fields are set once, by ``__init__`` through
+    ``object.__setattr__``; assignment afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vertex(Frozen):
     """A point of ``{0,1}^dim`` as a bit mask.  ``dim == 0`` encodes ``()``."""
 
-    dim: int
-    bits: int
+    __slots__ = ("dim", "bits")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int, bits: int) -> None:
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bits {self.bits} out of range for dimension {self.dim}")
+        if not 0 <= bits < (1 << dim):
+            raise ValueError(f"bits {bits} out of range for dimension {dim}")
+        _set_dim(self, dim)
+        _set_bits(self, bits)
+
+    # Vertices are hashed and compared in inner loops: read the fields directly.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.dim == other.dim and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.bits))
 
     @classmethod
     def from_coords(cls, coords: tuple[int, ...]) -> Vertex:
@@ -110,6 +156,11 @@ class Vertex:
         return "(" + ",".join(str(c) for c in self.coords()) + ")"
 
 
+# Vertices are built in inner loops too: write their slots without the
+# lookups of object.__setattr__.
+_set_dim, _set_bits = Vertex.dim.__set__, Vertex.bits.__set__
+
+
 def height(v: Vertex) -> int:
     """Coordinate sum of a vertex; strictly increases along the directed order."""
     return bit_height(v.bits)
@@ -129,9 +180,9 @@ def d1_vertex(x: Vertex, y: Vertex) -> int | float:
     return INF
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First axiom failure found while validating a map table."""
+class Violation(NamedTuple):
+    """First axiom failure found while validating a map table.  A tuple:
+    it also compares equal to the plain tuple of its fields."""
 
     axiom: str  # "shape" | "strictly-increasing" | "adjacency"
     pair: tuple[Vertex, Vertex] | None
@@ -225,8 +276,7 @@ def _minimal_preimages(m: int, n: int, table: tuple[int, ...]) -> tuple[tuple[in
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*>\s*(\d+)\s*:\s*(.*)$")
 
 
-@dataclass(frozen=True, slots=True)
-class CubeMap:
+class CubeMap(Frozen):
     """A validated cotransverse map ``[dom_dim] -> [cod_dim]``.
 
     ``table[k]`` is the image mask of the vertex with mask ``k``.  Instances
@@ -234,10 +284,13 @@ class CubeMap:
     strict monotonicity or adjacency preservation.
     """
 
-    dom_dim: int
-    cod_dim: int
-    table: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dom_dim", "cod_dim", "table", "_hash")
+
+    def __init__(self, dom_dim: int, cod_dim: int, table: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dom_dim", dom_dim)
+        object.__setattr__(self, "cod_dim", cod_dim)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         bad = validate_cotransverse(self.table, self.dom_dim, self.cod_dim)
@@ -260,6 +313,10 @@ class CubeMap:
             and self.dom_dim == other.dom_dim
             and self.cod_dim == other.cod_dim
         )
+
+    def _values(self) -> tuple:
+        # ``_hash`` comes last in ``__slots__``: it is derived, so repr and pickling skip it
+        return (self.dom_dim, self.cod_dim, self.table)
 
     # -- basic queries ----------------------------------------------------
 

@@ -41,8 +41,11 @@ def _not_integer(err: TypeError, what: str) -> ValueError:
 
 
 def parse_precubical(data: dict) -> Precubical:
+    max_dim = _of(dict, data, "a precubical set")["max_dim"]
+    if isinstance(max_dim, bool):
+        raise ValueError("integer expected for max_dim, got a boolean")
     try:
-        max_dim = int(_of(dict, data, "a precubical set")["max_dim"])
+        max_dim = int(max_dim)
         cubes = {
             int(dim): tuple(int(c) for c in _of(list, ids, "cube ids"))
             for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
@@ -54,6 +57,9 @@ def parse_precubical(data: dict) -> Precubical:
                 faces[(int(cid), i, alpha)] = int(target)
     except TypeError as err:
         raise _not_integer(err, "a precubical set") from None
+    if len(set().union(*cubes.values())) != sum(map(len, cubes.values())):
+        ids = [c for level in cubes.values() for c in level]
+        raise ValueError(f"cube id {next(c for c in ids if ids.count(c) > 1)} is listed twice")
     charge(max_dim + 1, "the levels of a precubical set of dimension %s", max_dim)
     for n in range(max_dim + 1):
         cubes.setdefault(n, ())
@@ -64,6 +70,8 @@ def parse_script(data: list) -> list[dict]:
     script = []
     for entry in _of(list, data, "a build script"):
         entry = _of(dict, entry, "a script entry")
+        if isinstance(entry.get("dim"), bool):
+            raise ValueError("integer expected for the dim of a script entry, got a boolean")
         try:
             dim = int(entry["dim"])
             attach = {int(k): int(v) for k, v in _of(dict, entry.get("attach", {}), "attach").items()}
@@ -77,6 +85,8 @@ def parse_dpath(data: dict) -> DPath:
     legs = []
     for leg in _of(list, _of(dict, data, "a path")["legs"], "legs"):
         leg = _of(dict, leg, "a leg")
+        if isinstance(leg.get("dim"), bool):
+            raise ValueError("integer expected for the dim of a leg, got a boolean")
         try:
             cube, dim = int(leg.get("cube", 0)), int(leg["dim"])
         except TypeError as err:

@@ -25,21 +25,21 @@ by integer height gaps, and the shortest path ``d`` is reported as
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from numbers import Rational
 from operator import le
+from typing import NamedTuple
 
-from .cube import INF
+from .cube import INF, Frozen
 from .paths import DPath, naturality_certificate
 from .sts import Sts
 
 
-@dataclass(frozen=True)
-class SkeletonDigraph:
-    """Vertices of a symmetric transverse set with one unit arc per edge."""
+class SkeletonDigraph(NamedTuple):
+    """Vertices of a symmetric transverse set with one unit arc per edge.  A
+    tuple: it also compares equal to the plain tuple of its fields."""
 
     nodes: tuple[int, ...]
     arcs: tuple[tuple[int, int], ...]
@@ -85,23 +85,23 @@ def vertex_distance(sts: Sts, a: int, b: int) -> int | float:
     return INF
 
 
-@dataclass(frozen=True)
-class PointPresentation:
+class PointPresentation(Frozen):
     """A point of the realization, presented in the coordinates of one cube."""
 
-    cube_id: int
-    local: tuple[Fraction, ...]
+    __slots__ = ("cube_id", "local")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, Rational) for c in self.local):
+    def __init__(self, cube_id: int, local: tuple[Fraction, ...]) -> None:
+        if not all(isinstance(c, Rational) for c in local):
             raise ValueError("local coordinates must be exact rationals (int or Fraction)")
-        if any(not 0 <= c <= 1 for c in self.local):
+        if any(not 0 <= c <= 1 for c in local):
             raise ValueError("local coordinates must lie in [0, 1]")
+        object.__setattr__(self, "cube_id", cube_id)
+        object.__setattr__(self, "local", local)
 
 
-@dataclass(frozen=True)
-class ChainBound:
-    """A certified upper bound on the realized directed distance."""
+class ChainBound(NamedTuple):
+    """A certified upper bound on the realized directed distance.  A tuple:
+    it also compares equal to the plain tuple of its fields."""
 
     value: Fraction | float
     exhausted: bool = False  # budget cut the waypoint refinement short

@@ -17,10 +17,10 @@ across runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .cube import CubeMap, bit_height, coface, coface_table, compose, extract_bits, interned, split_coordinates
 
@@ -216,14 +216,14 @@ def count_homset(m: int, n: int) -> int:
     return endos * comb(n, m) * (1 << (n - m))
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Unique normal form ``f = phi o psi`` with ``psi`` an endomap of the
     source cube and ``phi`` a composite of cofaces.  ``free`` holds the
     positions of ``[n]`` carrying ``psi`` (0-based, ascending); ``steps``
     writes ``phi`` as insertions ``(n1, i1, a1), (n2, i2, a2), ...``, at
     ``i1`` into ``[n1]`` first and upward from there, so every ``i - 1`` is
-    also the position of a constant coordinate of ``[n]``."""
+    also the position of a constant coordinate of ``[n]``.  A tuple: it
+    also compares equal to the plain tuple of its fields."""
 
     psi: CubeMap
     phi: CubeMap
@@ -278,10 +278,10 @@ def decompose_coface(phi: CubeMap) -> tuple[tuple[int, int, int], ...]:
     return fac.steps
 
 
-@dataclass(frozen=True)
-class FinalityReport:
+class FinalityReport(NamedTuple):
     """Outcome of checking that the canonical factorization is final among
-    all (endomap, arbitrary) factorizations of a map."""
+    all (endomap, arbitrary) factorizations of a map.  A tuple: it also
+    compares equal to the plain tuple of its fields."""
 
     ok: bool
     factorizations: int

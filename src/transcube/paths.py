@@ -22,11 +22,10 @@ meet at the same vertex of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .cube import CubeMap, Vertex, bits_leq, compose
+from .cube import CubeMap, Frozen, Vertex, bits_leq, compose
 from .homsets import coface_part, factorize
 from .topo import point_height, t_eval
 
@@ -34,25 +33,25 @@ Point = tuple[Fraction, ...]
 Breakpoint = tuple[Fraction, Point]
 
 
-@dataclass(frozen=True)
-class SegmentPath:
+class SegmentPath(Frozen):
     """A piecewise-linear path in one cube: breakpoints with strictly
     increasing times, linearly interpolated in between."""
 
-    dim: int
-    breakpoints: tuple[Breakpoint, ...]
+    __slots__ = ("dim", "breakpoints")
 
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) < 2:
+    def __init__(self, dim: int, breakpoints: tuple[Breakpoint, ...]) -> None:
+        if len(breakpoints) < 2:
             raise ValueError("a path needs at least two breakpoints")
-        for t, pt in self.breakpoints:
-            if len(pt) != self.dim:
+        for t, pt in breakpoints:
+            if len(pt) != dim:
                 raise ValueError("breakpoint dimension mismatch")
             if any(not 0 <= c <= 1 for c in pt):
                 raise ValueError("coordinates must lie in [0, 1]")
-        times = [t for t, _ in self.breakpoints]
+        times = [t for t, _ in breakpoints]
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     @property
     def start(self) -> Point:
@@ -96,8 +95,10 @@ def _vertex_bits(pt: Point) -> int | None:
     return bits
 
 
-@dataclass(frozen=True)
-class DPathReport:
+class DPathReport(NamedTuple):
+    """Outcome of :func:`is_dpath`.  A tuple: it also compares equal to the
+    plain tuple of its fields."""
+
     ok: bool
     reason: str = ""
     segment: int | None = None
@@ -194,20 +195,20 @@ def transport(f: CubeMap, p: SegmentPath) -> SegmentPath:
     return SegmentPath(f.cod_dim, mapped)
 
 
-@dataclass(frozen=True)
-class DPath:
+class DPath(Frozen):
     """A Moore composition of single-cube legs inside an ambient symmetric
     transverse set.  Each leg is a ``(cube id, path)`` pair with the leg's
     own clock starting at 0."""
 
-    legs: tuple[tuple[int, SegmentPath], ...]
+    __slots__ = ("legs",)
 
-    def __post_init__(self) -> None:
-        if not self.legs:
+    def __init__(self, legs: tuple[tuple[int, SegmentPath], ...]) -> None:
+        if not legs:
             raise ValueError("a path needs at least one leg")
-        for _, seg in self.legs:
+        for _, seg in legs:
             if seg.breakpoints[0][0] != 0:
                 raise ValueError("each leg must start its clock at 0")
+        object.__setattr__(self, "legs", legs)
 
     @property
     def duration(self) -> Fraction:
@@ -251,9 +252,9 @@ def moore_compose(sts, p: DPath, q: DPath) -> DPath:
     return DPath(p.legs + q.legs)
 
 
-@dataclass(frozen=True)
-class NaturalityCertificate:
-    """Per-leg naturality verification of a multi-cube path."""
+class NaturalityCertificate(NamedTuple):
+    """Per-leg naturality verification of a multi-cube path.  A tuple: it
+    also compares equal to the plain tuple of its fields."""
 
     natural: bool
     total_length: Fraction

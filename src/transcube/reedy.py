@@ -19,8 +19,7 @@ the diagonal boundary hom-sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .cube import CubeMap, compose, identity
 from .homsets import (
@@ -205,9 +204,9 @@ def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
     return quot
 
 
-@dataclass(frozen=True)
-class LatchingComparison:
-    """Outcome of matching a latching object against boundary evaluation."""
+class LatchingComparison(NamedTuple):
+    """Outcome of matching a latching object against boundary evaluation.  A
+    tuple: it also compares equal to the plain tuple of its fields."""
 
     bijective: bool
     latching_size: int

@@ -15,10 +15,9 @@ immutable in use: nothing here mutates a built object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .cube import CubeMap, coface, compose, identity
+from .cube import CubeMap, Frozen, coface, compose, identity
 from .homsets import (
     charge,
     composable_pairs,
@@ -217,17 +216,14 @@ def boundary(n: int, max_dim: int | None = None) -> Sts:
     return truncate(representable(n, max_dim), n - 1)
 
 
-@dataclass(frozen=True)
-class StsMap:
+class StsMap(Frozen):
     """A dimension-preserving map of symmetric transverse sets, given on
-    cube ids and required to commute with the generating actions."""
+    cube ids and required to commute with the generating actions.  Equality
+    and hash read ``src`` and ``dst`` only."""
 
-    src: Sts
-    dst: Sts
-    mapping: dict[int, int] = field(compare=False)
+    __slots__ = ("src", "dst", "mapping")
 
-    def __post_init__(self) -> None:
-        src, dst, mapping = self.src, self.dst, self.mapping
+    def __init__(self, src: Sts, dst: Sts, mapping: dict[int, int]) -> None:
         for c, n in src.dim_of.items():
             if c not in mapping:
                 raise ValueError(f"mapping misses cube {c}")
@@ -245,6 +241,17 @@ class StsMap:
                 if dst_table[mapping[c]] != mapping[uc]:
                     kind = "endomap" if key is None else "face"
                     raise ValueError(f"mapping not equivariant at {kind} of cube {c}")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "mapping", mapping)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StsMap:
+            return NotImplemented
+        return self.src == other.src and self.dst == other.dst
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst))
 
     def __call__(self, cube_id: int) -> int:
         return self.mapping[cube_id]
@@ -266,28 +273,32 @@ def yoneda_map(f: CubeMap, src: Sts, dst: Sts) -> StsMap:
     return StsMap(src, dst, {c: index[compose(f, src.labels[c])] for c in src.all_cubes()})
 
 
-@dataclass(frozen=True)
-class FreeCell:
+class FreeCell(NamedTuple):
     """Normal form of a cube of a freely generated set: an endomap applied
-    to a generating cube of the same dimension."""
+    to a generating cube of the same dimension.  A tuple: it also compares
+    equal to the plain tuple of its fields."""
 
     psi: CubeMap
     base: int
 
 
-@dataclass(frozen=True)
-class Precubical:
+class Precubical(Frozen):
     """A finite presheaf on the coface-only category.
 
     ``faces[(c, i, alpha)]`` is the face of cube ``c`` along the elementary
-    coface; the usual coface exchange relations are validated.
+    coface; the usual coface exchange relations are validated.  Unhashable:
+    its fields are dicts.
     """
 
-    max_dim: int
-    cubes: dict[int, tuple[int, ...]]
-    faces: dict[tuple[int, int, int], int]
+    __slots__ = ("max_dim", "cubes", "faces")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, max_dim: int, cubes: dict[int, tuple[int, ...]], faces: dict[tuple[int, int, int], int]
+    ) -> None:
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "cubes", cubes)
+        object.__setattr__(self, "faces", faces)
         dim_of = self.dim_of
         for (c, i, alpha), d in self.faces.items():
             if c not in dim_of:
@@ -376,8 +387,10 @@ def boundary_precubical(n: int) -> Precubical:
     return Precubical(full.max_dim, cubes, faces)
 
 
-@dataclass(frozen=True)
-class PushoutResult:
+class PushoutResult(NamedTuple):
+    """The glued set and the two maps into it.  A tuple: it also compares
+    equal to the plain tuple of its fields."""
+
     sts: Sts
     from_left: StsMap
     from_right: StsMap
@@ -425,10 +438,10 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
     return PushoutResult(out, StsMap(left, out, new_id["L"]), StsMap(right, out, new_id["R"]))
 
 
-@dataclass(frozen=True)
-class CellCertificate:
+class CellCertificate(NamedTuple):
     """Witness that a set was assembled cell by cell: per-dimension cell
-    counts plus the expected graded cube counts they force."""
+    counts plus the expected graded cube counts they force.  A tuple: it
+    also compares equal to the plain tuple of its fields."""
 
     cell_counts: dict[int, int]
     cube_counts: dict[int, int]

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cube import (
     CubeMap,
+    Slotted,
     Vertex,
     bit_height,
     compose,
@@ -57,15 +57,22 @@ from .topo import d1_point, d1_sym, d1_sym_witness, t_eval_maxmin, t_eval_permut
 DENOMINATOR = 2520  # divisible by 1..10, so sampled rationals stay friendly
 
 
-@dataclass
-class CheckSuiteReport:
-    """Outcome of one suite run; zero failures is the success criterion."""
+class CheckSuiteReport(Slotted):
+    """Outcome of one suite run; zero failures is the success criterion.
+    Mutable while the suite runs, and so unhashable."""
 
-    suite: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
-    exhausted: bool = False
+    __slots__ = ("suite", "cases", "failures", "seconds", "exhausted")
+    __hash__ = None
+
+    def __init__(
+        self, suite: str, cases: int = 0, failures: list[str] | None = None,
+        seconds: float = 0.0, exhausted: bool = False,
+    ) -> None:
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+        self.exhausted = exhausted
 
     @property
     def ok(self) -> bool:

@@ -387,6 +387,45 @@ def test_cli_starts_without_numpy():
     assert "numpy" in _imported(proc.stderr)
 
 
+def test_cli_starts_without_dataclasses():
+    # no class on the import path is built by dataclasses, whose import
+    # also pulls in inspect, ast, dis and tokenize
+    proc = _child("-c", "import sys, transcube; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+    proc = _child("-X", "importtime", "-m", "transcube.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported(proc.stderr)
+    assert "transcube.suites" in modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["free", "--input"], {"max_dim": True}, "integer expected for max_dim, got a boolean"),
+        (["free", "--input"], {"max_dim": 0, "cubes": {"0": [1, 1]}}, "cube id 1 is listed twice"),
+        (["free", "--input"], {"max_dim": 1, "cubes": {"0": [0, 1], "1": [1]}}, "cube id 1 is listed twice"),
+        (["cells", "--script"], [{"dim": True, "attach": {}}], "integer expected for the dim of a script entry"),
+        (
+            ["dpath", "verify", "--input"],
+            {"legs": [{"dim": True, "breakpoints": [["0", "0"], ["1", "1"]]}]},
+            "integer expected for the dim of a leg",
+        ),
+    ],
+    ids=["boolean max_dim", "id twice in a level", "id in two levels", "boolean script dim", "boolean leg dim"],
+)
+def test_booleans_and_repeated_ids_are_named(tmp_path, capsys, argv, data, message):
+    # a JSON true is not the integer 1, and a cube id names one cube
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 _HUGE_JSON = {"levels": {"max_dim": 10**12}, "cells": [{"dim": 0}, {"dim": 10**12}]}
 
 
