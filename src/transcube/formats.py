@@ -35,28 +35,30 @@ def _of(kind: type, value: Any, what: str) -> Any:
     return value
 
 
-def _not_integer(err: TypeError, what: str) -> ValueError:
-    # int() of a JSON null, array or object raises TypeError
-    return ValueError(f"integer expected in {what}: {err}")
+#: The JSON types that are not integers, by the name an error gives them.
+_NOT_INT = {bool: "a boolean", type(None): "null", float: "a float", list: "an array", dict: "an object"}
+
+
+def _int(value: Any, what: str) -> int:
+    """``value`` as an integer.  JSON booleans, null, floats, arrays and
+    objects are refused; strings (object keys) are parsed."""
+    kind = _NOT_INT.get(type(value))
+    if kind:
+        raise ValueError(f"integer expected for {what}, got {kind}")
+    return int(value)
 
 
 def parse_precubical(data: dict) -> Precubical:
-    max_dim = _of(dict, data, "a precubical set")["max_dim"]
-    if isinstance(max_dim, bool):
-        raise ValueError("integer expected for max_dim, got a boolean")
-    try:
-        max_dim = int(max_dim)
-        cubes = {
-            int(dim): tuple(int(c) for c in _of(list, ids, "cube ids"))
-            for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
-        }
-        faces = {}
-        for cid, table in _of(dict, data.get("faces", {}), "faces").items():
-            for key, target in _of(dict, table, "a face table").items():
-                i, alpha = (int(tok) for tok in key.split(","))
-                faces[(int(cid), i, alpha)] = int(target)
-    except TypeError as err:
-        raise _not_integer(err, "a precubical set") from None
+    max_dim = _int(_of(dict, data, "a precubical set")["max_dim"], "max_dim")
+    cubes = {
+        _int(dim, "a level"): tuple(_int(c, "a cube id") for c in _of(list, ids, "cube ids"))
+        for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
+    }
+    faces = {}
+    for cid, table in _of(dict, data.get("faces", {}), "faces").items():
+        for key, target in _of(dict, table, "a face table").items():
+            i, alpha = (int(tok) for tok in key.split(","))
+            faces[(_int(cid, "a cube id"), i, alpha)] = _int(target, "a face target")
     if len(set().union(*cubes.values())) != sum(map(len, cubes.values())):
         ids = [c for level in cubes.values() for c in level]
         raise ValueError(f"cube id {next(c for c in ids if ids.count(c) > 1)} is listed twice")
@@ -70,13 +72,9 @@ def parse_script(data: list) -> list[dict]:
     script = []
     for entry in _of(list, data, "a build script"):
         entry = _of(dict, entry, "a script entry")
-        if isinstance(entry.get("dim"), bool):
-            raise ValueError("integer expected for the dim of a script entry, got a boolean")
-        try:
-            dim = int(entry["dim"])
-            attach = {int(k): int(v) for k, v in _of(dict, entry.get("attach", {}), "attach").items()}
-        except TypeError as err:
-            raise _not_integer(err, "a script entry") from None
+        dim = _int(entry["dim"], "the dim of a script entry")
+        attach = _of(dict, entry.get("attach", {}), "attach")
+        attach = {_int(k, "an attach key"): _int(v, "an attach value") for k, v in attach.items()}
         script.append({"dim": dim, "attach": attach})
     return script
 
@@ -85,12 +83,7 @@ def parse_dpath(data: dict) -> DPath:
     legs = []
     for leg in _of(list, _of(dict, data, "a path")["legs"], "legs"):
         leg = _of(dict, leg, "a leg")
-        if isinstance(leg.get("dim"), bool):
-            raise ValueError("integer expected for the dim of a leg, got a boolean")
-        try:
-            cube, dim = int(leg.get("cube", 0)), int(leg["dim"])
-        except TypeError as err:
-            raise _not_integer(err, "a leg") from None
+        cube, dim = _int(leg.get("cube", 0), "the cube of a leg"), _int(leg["dim"], "the dim of a leg")
         pairs = []
         for row in _of(list, leg["breakpoints"], "breakpoints"):
             t, *coords = _of(list, row, "a breakpoint")

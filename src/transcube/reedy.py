@@ -10,21 +10,23 @@ otherwise, every class containing exactly one pair whose outer leg is a
 coface composite out of ``[p]``.
 
 Latching objects of set-valued cotransverse objects are coends weighted by
-these boundary hom-sets; they are computed independently and then matched
-against evaluation at the boundary of the representable, which is the
-identification that reduces the degreewise model structure to the
-projective one (matching objects being forced terminal by the emptiness of
-the diagonal boundary hom-sets).
+these boundary hom-sets.  The weight is a symmetric transverse set built
+from the union-find quotients above, and every coend here, latching object
+or evaluation, is computed by the one function :func:`weighted_coend_eval`.
+What stays independent is the weight: it comes from gluing along every
+connecting map, while the boundary of the representable comes from
+truncating it.  Matching the two coends is the identification that reduces
+the degreewise model structure to the projective one (matching objects
+being forced terminal by the emptiness of the diagonal boundary hom-sets).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Mapping, NamedTuple
 
-from .cube import CubeMap, compose, identity
+from .cube import CubeMap, compose
 from .homsets import (
     charge,
-    composable_pairs,
     count_homset,
     enumerate_homset,
     factorize,
@@ -32,7 +34,7 @@ from .homsets import (
     is_coface,
 )
 from .quotient import QuotientSet
-from .sts import Sts, action_tables, boundary, family_table
+from .sts import Sts, _build, action_tables, boundary, check_action, family_table
 
 
 def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
@@ -105,16 +107,7 @@ class CotransverseSetObj:
         return a
 
     def check_functorial(self, exhaustive_dim: int) -> None:
-        top = min(self.max_dim, exhaustive_dim)
-        for n in range(top + 1):
-            for a in self.values[n]:
-                if self.apply(identity(n), a) != a:
-                    raise AssertionError("identity action moved a value")
-        for f, g in composable_pairs(top):
-            gf = compose(g, f)
-            for a in self.values[f.dom_dim]:
-                if self.apply(gf, a) != self.apply(g, self.apply(f, a)):
-                    raise AssertionError(f"covariant functoriality fails at {a!r}")
+        check_action(self.values, self.apply, False, min(self.max_dim, exhaustive_dim))
 
 
 def built_obj(
@@ -175,33 +168,29 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     return quot
 
 
+def boundary_weight(n: int) -> Sts:
+    """The degree-``n`` boundary-hom weight as a symmetric transverse set.
+
+    Level ``p < n`` holds the canonical representatives ``(m, h, g)`` of
+    :func:`boundary_hom` ``(p, n, n)`` and level ``n`` is empty, so the
+    weight has the shape of :func:`transcube.sts.boundary`.  A map ``u``
+    acts by ``(m, h, g) -> class of (m, h, g o u)``; labels carry the
+    representatives.
+    """
+    quots = [boundary_hom(p, n, n) for p in range(n)]
+    graded = [q.representatives() for q in quots] + [[]]
+    return _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
+
+
 def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
     """Degree-``n`` latching object: the coend of the boundary-hom weight
-    against the functor.
+    against the functor, evaluated by :func:`weighted_coend_eval`.
 
-    Elements are ``(p, w, a)`` with ``w`` a canonical boundary-hom class
-    representative and ``a`` a level-``p`` value; generators identify
-    reindexing the weight against acting on the value.
+    Elements are ``(p, c, a)`` with ``c`` a cube id of
+    :func:`boundary_weight` ``(n)`` and ``a`` a level-``p`` value; the
+    weight's ``labels[c]`` gives back the boundary-hom triple ``(m, h, g)``.
     """
-    weights: dict[int, QuotientSet] = {p: boundary_hom(p, n, n) for p in range(n)}
-    elements = [
-        (p, w, a)
-        for p in range(n)
-        for w in weights[p].representatives()
-        for a in a_obj.values[p]
-    ]
-    quot = QuotientSet(elements)
-    for key, u in generating_family(n - 1):
-        # u: [p_src] -> [p_dst] reindexes weights contravariantly and pushes
-        # values covariantly: (W(u)w, a) at p_src glues to (w, A(u)a) at p_dst.
-        p_src, p_dst = u.dom_dim, u.cod_dim
-        amap = family_table(a_obj.coface_maps, a_obj.endo_maps, key, u)
-        for w in weights[p_dst].representatives():
-            m, h, g = w
-            w_src = weights[p_src].class_of((m, h, compose(g, u)))
-            for a in a_obj.values[p_src]:
-                quot.identify((p_src, w_src, a), (p_dst, w, amap[a]))
-    return quot
+    return weighted_coend_eval(a_obj, boundary_weight(n))
 
 
 class LatchingComparison(NamedTuple):
@@ -221,26 +210,27 @@ def compare_latching_to_boundary(a_obj: CotransverseSetObj, n: int) -> LatchingC
     """Exhibit the canonical bijection between the latching object and the
     functor evaluated at the boundary of the representable.
 
-    An element ``(p, (m, h, g), a)`` of the latching coend maps to the class
-    of ``(p, cube of h o g, a)``; the map must be well defined on classes
-    and a bijection.
+    Both are coends evaluated by :func:`weighted_coend_eval`.  A weight
+    cube ``c`` labelled ``(m, h, g)`` goes to the cube of ``h o g``, so
+    ``(p, c, a)`` maps to the class of ``(p, cube of h o g, a)``; the map
+    must be well defined on classes and a bijection.
     """
-    lat = latching(a_obj, n)
+    weight = boundary_weight(n)
+    lat = weighted_coend_eval(a_obj, weight)
     bnd = boundary(n)
     ev = weighted_coend_eval(a_obj, bnd)
 
     cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
+    to_boundary = {c: cube_index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
 
     image_classes: dict[tuple, tuple] = {}
     for cls in lat.classes():
-        targets = set()
-        for (p, (m, h, g), a) in cls:
-            targets.add(ev.class_of((p, cube_index[compose(h, g)], a)))
+        targets = {ev.class_of((p, to_boundary[c], a)) for (p, c, a) in cls}
         if len(targets) != 1:
             return LatchingComparison(False, len(lat), len(ev), "map not well defined")
-        image_classes[lat.class_of(cls[0])] = targets.pop()
+        image_classes[cls[0]] = targets.pop()
 
     injective = len(set(image_classes.values())) == len(image_classes)
-    surjective = set(image_classes.values()) == {ev.class_of(r) for r in ev.representatives()}
+    surjective = set(image_classes.values()) == set(ev.representatives())
     ok = injective and surjective and len(lat) == len(ev)
     return LatchingComparison(ok, len(lat), len(ev), "" if ok else "not bijective")

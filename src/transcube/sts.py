@@ -105,18 +105,7 @@ def check_functoriality(sts: Sts, exhaustive_dim: int = 3) -> None:
     Exhaustive over all composable pairs with dimensions at most
     ``exhaustive_dim``.  Raises ``AssertionError`` on the first failure.
     """
-    top = min(sts.max_dim, exhaustive_dim)
-    for n in range(top + 1):
-        for c in sts.cubes[n]:
-            if sts.act(identity(n), c) != c:
-                raise AssertionError(f"identity action moved cube {c}")
-    for f, g in composable_pairs(top):
-        gf = compose(g, f)
-        for c in sts.cubes[g.cod_dim]:
-            if sts.act(gf, c) != sts.act(f, sts.act(g, c)):
-                raise AssertionError(
-                    f"action not functorial on cube {c} for {g.literal()} o {f.literal()}"
-                )
+    check_action(sts.cubes, sts.act, True, min(sts.max_dim, exhaustive_dim))
 
 
 def family_table(face: Mapping, endo: Mapping, key: tuple[int, int, int] | None, u: CubeMap) -> dict:
@@ -155,6 +144,26 @@ def action_tables(
         else:
             face[key] = table
     return face, endo
+
+
+def check_action(
+    graded: Sequence[Sequence], act: Callable[[CubeMap, Hashable], Hashable], contravariant: bool, top: int
+) -> None:
+    """Assert that ``act`` is functorial up to level ``top``: ``id`` acts as
+    the identity, and ``(g o f)^* = f^* o g^*`` on level ``cod g`` when
+    ``contravariant``, ``(g o f)_* = g_* o f_*`` on level ``dom f``
+    otherwise.  Both variances of :func:`action_tables` are checked here;
+    raises ``AssertionError`` on the first failure."""
+    for n in range(top + 1):
+        for x in graded[n]:
+            if act(identity(n), x) != x:
+                raise AssertionError(f"identity action moved {x!r}")
+    for f, g in composable_pairs(top):
+        gf = compose(g, f)
+        first, then = (g, f) if contravariant else (f, g)
+        for x in graded[g.cod_dim if contravariant else f.dom_dim]:
+            if act(gf, x) != act(then, act(first, x)):
+                raise AssertionError(f"action not functorial at {x!r} for {g.literal()} o {f.literal()}")
 
 
 def _number(graded: Sequence[Sequence[object]]) -> tuple[dict[int, tuple[int, ...]], dict[int, object]]:

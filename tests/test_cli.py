@@ -426,6 +426,38 @@ def test_booleans_and_repeated_ids_are_named(tmp_path, capsys, argv, data, messa
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["free", "--input"], {"max_dim": 0, "cubes": {"0": [True]}}, "integer expected for a cube id, got a boolean"),
+        (
+            ["free", "--input"],
+            {"max_dim": 1, "cubes": {"0": [0, 1], "1": [2]}, "faces": {"2": {"1,0": False, "1,1": True}}},
+            "integer expected for a face target, got a boolean",
+        ),
+        (
+            ["cells", "--script"],
+            [{"dim": 0}, {"dim": 0}, {"dim": 1, "attach": {"0": 0, "1": True}}],
+            "integer expected for an attach value, got a boolean",
+        ),
+        (
+            ["dpath", "verify", "--input"],
+            {"legs": [{"cube": False, "dim": 1, "breakpoints": [["0", "0"], ["1", "1"]]}]},
+            "integer expected for the cube of a leg, got a boolean",
+        ),
+    ],
+    ids=["boolean cube id", "boolean face target", "boolean attach value", "boolean leg cube"],
+)
+def test_booleans_in_id_fields_are_refused(tmp_path, capsys, argv, data, message):
+    # a JSON true inside a list or table is no more the integer 1 than a scalar one
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 _HUGE_JSON = {"levels": {"max_dim": 10**12}, "cells": [{"dim": 0}, {"dim": 10**12}]}
 
 

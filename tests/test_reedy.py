@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from transcube.homsets import BudgetExceeded, count_homset
+from transcube.cube import compose
+from transcube.homsets import BudgetExceeded, count_homset, enumerate_homset
 from transcube.reedy import (
     boundary_hom,
     boundary_hom_closed_form,
+    boundary_weight,
     canonical_pairs,
     compare_latching_to_boundary,
     constant_obj,
@@ -15,7 +17,7 @@ from transcube.reedy import (
     matching_emptiness_check,
     weighted_coend_eval,
 )
-from transcube.sts import boundary, empty_sts, representable
+from transcube.sts import StsMap, boundary, check_action, empty_sts, representable
 
 
 def test_boundary_hom_examples():
@@ -132,3 +134,77 @@ def test_budget_charge_is_the_entries_written(monkeypatch):
         with pytest.raises(BudgetExceeded):
             build()
         monkeypatch.delenv("TRANSCUBE_BUDGET")
+
+
+def test_check_action_rejects_a_non_functorial_action():
+    # one swap per non-identity map: composing two of them swaps back
+    swap = {"a": "b", "b": "a"}
+    levels = [("a", "b")] * 3
+    for contravariant in (True, False):
+        with pytest.raises(AssertionError, match="not functorial"):
+            check_action(levels, lambda u, x: x if u.is_identity() else swap[x], contravariant, 2)
+        with pytest.raises(AssertionError, match="identity action moved"):
+            check_action(levels, lambda u, x: swap[x], contravariant, 2)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_boundary_weight_is_isomorphic_to_the_boundary(n):
+    # (m, h, g) -> the cube h o g of the truncated representable
+    weight, bnd = boundary_weight(n), boundary(n)
+    index = {bnd.labels[c]: c for c in bnd.all_cubes()}
+    mapping = {c: index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
+    StsMap(weight, bnd, mapping)  # raises unless equivariant
+    assert sorted(mapping.values()) == sorted(bnd.all_cubes())
+    assert weight.counts() == bnd.counts()
+
+
+# the battery of test_latching_matches_boundary_evaluation
+_BATTERY = [
+    constant_obj(("*",), 3),
+    constant_obj(("a", "b"), 3),
+    hom_obj(0, 3),
+    hom_obj(1, 3),
+    hom_obj(2, 3),
+    free_obj(0, ("s", "t"), 3),
+    free_obj(1, ("s", "t"), 3),
+]
+
+
+def _coend_by_definition(a_obj, k_sts) -> set[frozenset]:
+    """The coend's classes from its definition: every map ``u: [m] -> [n]``,
+    not only the generating family, glues ``(m, u^* c, a)`` to ``(n, c,
+    u_* a)``; classes are the components found by breadth-first search."""
+    top = min(a_obj.max_dim, k_sts.max_dim)
+    edges = {(n, c, a): [] for n in range(top + 1) for c in k_sts.cubes[n] for a in a_obj.values[n]}
+    for n in range(top + 1):
+        for m in range(n + 1):
+            for u in enumerate_homset(m, n):
+                pushed = {a: a_obj.apply(u, a) for a in a_obj.values[m]}
+                for c in k_sts.cubes[n]:
+                    uc = k_sts.act(u, c)
+                    for a, ua in pushed.items():
+                        edges[(m, uc, a)].append((n, c, ua))
+                        edges[(n, c, ua)].append((m, uc, a))
+    classes, seen = set(), set()
+    for e in edges:
+        if e in seen:
+            continue
+        seen.add(e)
+        component, frontier = {e}, [e]
+        while frontier:
+            for x in edges[frontier.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    component.add(x)
+                    frontier.append(x)
+        classes.add(frozenset(component))
+    return classes
+
+
+@pytest.mark.parametrize("weight", [boundary, boundary_weight, representable], ids=lambda w: w.__name__)
+def test_coend_eval_matches_the_coend_by_definition(weight):
+    for n in range(4):
+        k_sts = weight(n)
+        for obj in _BATTERY:
+            got = {frozenset(cls) for cls in weighted_coend_eval(obj, k_sts).classes()}
+            assert got == _coend_by_definition(obj, k_sts), (obj, n)
