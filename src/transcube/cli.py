@@ -131,8 +131,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def _parse_presentation(text: str) -> PointPresentation:
     cube, _, coords = text.partition(",")
-    if not coords:
-        return PointPresentation(int(cube), ())
     return PointPresentation(int(cube), parse_point(coords))
 
 
@@ -319,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as err:
         print(f"budget: {err}", file=sys.stderr)
         return BUDGET_ERROR
-    except (CliError, ValueError, KeyError) as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     finally:

@@ -39,6 +39,13 @@ def _of(kind: type, value: Any, what: str) -> Any:
 _NOT_INT = {bool: "a boolean", type(None): "null", float: "a float", list: "an array", dict: "an object"}
 
 
+def _key(table: Any, key: str, what: str) -> Any:
+    """``table[key]`` of the JSON object ``table``; a missing key is named."""
+    if key not in _of(dict, table, what):
+        raise ValueError(f"{what} has no {key!r} key")
+    return table[key]
+
+
 def _int(value: Any, what: str) -> int:
     """``value`` as an integer.  JSON booleans, null, floats, arrays and
     objects are refused; strings (object keys) are parsed."""
@@ -49,7 +56,7 @@ def _int(value: Any, what: str) -> int:
 
 
 def parse_precubical(data: dict) -> Precubical:
-    max_dim = _int(_of(dict, data, "a precubical set")["max_dim"], "max_dim")
+    max_dim = _int(_key(data, "max_dim", "a precubical set"), "max_dim")
     cubes = {
         _int(dim, "a level"): tuple(_int(c, "a cube id") for c in _of(list, ids, "cube ids"))
         for dim, ids in _of(dict, data.get("cubes", {}), "cubes").items()
@@ -71,8 +78,7 @@ def parse_precubical(data: dict) -> Precubical:
 def parse_script(data: list) -> list[dict]:
     script = []
     for entry in _of(list, data, "a build script"):
-        entry = _of(dict, entry, "a script entry")
-        dim = _int(entry["dim"], "the dim of a script entry")
+        dim = _int(_key(entry, "dim", "a script entry"), "the dim of a script entry")
         attach = _of(dict, entry.get("attach", {}), "attach")
         attach = {_int(k, "an attach key"): _int(v, "an attach value") for k, v in attach.items()}
         script.append({"dim": dim, "attach": attach})
@@ -81,11 +87,11 @@ def parse_script(data: list) -> list[dict]:
 
 def parse_dpath(data: dict) -> DPath:
     legs = []
-    for leg in _of(list, _of(dict, data, "a path")["legs"], "legs"):
-        leg = _of(dict, leg, "a leg")
-        cube, dim = _int(leg.get("cube", 0), "the cube of a leg"), _int(leg["dim"], "the dim of a leg")
+    for leg in _of(list, _key(data, "legs", "a path"), "legs"):
+        dim = _int(_key(leg, "dim", "a leg"), "the dim of a leg")
+        cube = _int(leg.get("cube", 0), "the cube of a leg")
         pairs = []
-        for row in _of(list, leg["breakpoints"], "breakpoints"):
+        for row in _of(list, _key(leg, "breakpoints", "a leg"), "breakpoints"):
             t, *coords = _of(list, row, "a breakpoint")
             pairs.append((_rat(t), tuple(_rat(c) for c in coords)))
         legs.append((cube, segment_path(dim, pairs)))

@@ -6,7 +6,7 @@ face picked out by inserting 1.  Shortest directed arc paths agree with the
 single-cube directed L1 metric on representables and are validated against
 chain sampling; the identification with the realized coend metric is a
 desk-scale modeling assumption, not a theorem, and the API documents it as
-such.
+such.  Both distances are path metrics, found by one search, ``_shortest``.
 
 Interior points are handled by :func:`chain_distance_sample`, which returns
 a certified upper bound: it runs a shortest path over a waypoint graph
@@ -54,11 +54,25 @@ class SkeletonDigraph(NamedTuple):
             arcs.append((src, dst))
         return cls(tuple(nodes), tuple(arcs))
 
-    def successors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for a, b in self.arcs:
-            out[a].append(b)
-        return out
+
+def _shortest(adj: dict[object, list[tuple[object, int]]], source, target) -> int | float:
+    """Least total arc weight from ``source`` to ``target`` (Dijkstra), or ``INF``."""
+    dist = {source: 0}
+    heap = [(0, 0, source)]
+    tie = 1
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u == target:
+            return d
+        if d > dist.get(u, INF):
+            continue
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if nd < dist.get(v, INF):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, tie, v))
+                tie += 1
+    return INF
 
 
 def vertex_distance(sts: Sts, a: int, b: int) -> int | float:
@@ -67,22 +81,10 @@ def vertex_distance(sts: Sts, a: int, b: int) -> int | float:
     graph = SkeletonDigraph.of(sts)
     if a not in graph.nodes or b not in graph.nodes:
         raise ValueError("unknown vertex id")
-    if a == b:
-        return 0
-    succ = graph.successors()
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == b:
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    return INF
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for u, v in graph.arcs:
+        adj.setdefault(u, []).append((v, 1))
+    return _shortest(adj, a, b)
 
 
 class PointPresentation(Frozen):
@@ -136,6 +138,8 @@ def chain_distance_sample(
     is reduced and the bound is flagged as exhausted.
     """
     for pres in (p, q):
+        if pres.cube_id not in sts.dim_of:
+            raise ValueError(f"no cube {pres.cube_id} in this set")
         if len(pres.local) != sts.dim_of[pres.cube_id]:
             raise ValueError("presentation does not match its cube dimension")
 
@@ -180,22 +184,8 @@ def chain_distance_sample(
 
     source = node_of(p.cube_id, p_num)
     target = node_of(q.cube_id, q_num)
-    dist: dict[object, int] = {source: 0}
-    heap = [(0, 0, source)]
-    tie = 1
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u == target:
-            return ChainBound(Fraction(d, den), exhausted)
-        if d > dist.get(u, INF):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, tie, v))
-                tie += 1
-    return ChainBound(INF, exhausted)
+    d = _shortest(adj, source, target)
+    return ChainBound(INF if d is INF else Fraction(d, den), exhausted)
 
 
 def dpath_length(p: DPath) -> Fraction:

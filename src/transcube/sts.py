@@ -308,6 +308,9 @@ class Precubical(Frozen):
         object.__setattr__(self, "max_dim", max_dim)
         object.__setattr__(self, "cubes", cubes)
         object.__setattr__(self, "faces", faces)
+        for n, ids in cubes.items():
+            if ids and not 0 <= n <= max_dim:
+                raise ValueError(f"cube {ids[0]} is in level {n}, but max_dim is {max_dim}")
         dim_of = self.dim_of
         for (c, i, alpha), d in self.faces.items():
             if c not in dim_of:

@@ -487,3 +487,60 @@ def test_huge_dimension_is_over_budget(tmp_path, argv):
     proc = _child("-c", code, *(arg.format(**files) for arg in argv))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("budget: ") and proc.stderr.count("\n") == 1
+
+
+_MISSING_KEY = {
+    "no max_dim": (["free", "--input"], {"cubes": {"0": [0]}}, "a precubical set has no 'max_dim' key"),
+    "no script dim": (["cells", "--script"], [{"attach": {}}], "a script entry has no 'dim' key"),
+    "no legs": (["dpath", "verify", "--input"], {"paths": []}, "a path has no 'legs' key"),
+    "no leg dim": (["dpath", "verify", "--input"], {"legs": [{"breakpoints": [["0"], ["1"]]}]}, "a leg has no 'dim' key"),
+    "no breakpoints": (["dpath", "verify", "--input"], {"legs": [{"dim": 1}]}, "a leg has no 'breakpoints' key"),
+}
+
+
+@pytest.mark.parametrize("argv, data, message", _MISSING_KEY.values(), ids=_MISSING_KEY)
+def test_missing_keys_are_named(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("p, q", [("99,1/2", "2,1"), ("2,1/2", "99")])
+def test_chain_from_an_unknown_cube_is_named(tmp_path, capsys, p, q):
+    path = interval_json(tmp_path)
+    code = main(["dist", "--input", str(path), "--chain", "--p", p, "--q", q])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: no cube 99 in this set\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(tmp_path):
+    # a KeyError raised inside the kernel is a bug: it ends in a traceback
+    # and exit 1, not in exit 2 with a one-line message blaming the input
+    path = interval_json(tmp_path)
+    code = (
+        "import sys; from transcube import sts\n"
+        "def act(self, f, cube_id): raise KeyError('planted')\n"
+        "sts.Sts.act = act\n"
+        "from transcube.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _child("-c", code, "dist", "--input", str(path), "--chain", "--p", "2,1/4", "--q", "2,3/4")
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "KeyError: 'planted'" in proc.stderr
+
+
+def test_cubes_above_max_dim_are_refused(tmp_path, capsys):
+    # the file lists the edge 0 -> 1, so dropping it would make 1 unreachable
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"max_dim": 0, "cubes": {"0": [0, 1], "1": [2]}, "faces": {"2": {"1,0": 0, "1,1": 1}}}))
+    for argv in (["free", "--input", str(path)], ["dist", "--input", str(path), "--from", "0", "--to", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cube 2 is in level 1, but max_dim is 0\n"
+    interval = str(interval_json(tmp_path))
+    for max_dim, cube in (("0", "cube 2 is in level 1"), ("-1", "cube 0 is in level 0")):
+        assert main(["free", "--input", interval, "--max-dim", max_dim]) == 2
+        assert capsys.readouterr().err == f"error: {cube}, but max_dim is {max_dim}\n"
+    # a bound above the data adds empty levels
+    code, out = run(capsys, "free", "--input", interval, "--max-dim", "3")
+    assert code == 0 and out.splitlines() == ["dim 0: 2", "dim 1: 1", "dim 2: 0", "dim 3: 0"]

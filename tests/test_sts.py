@@ -362,3 +362,35 @@ def test_truncation_commutes_with_pushout(cube3_collapse):
     }
     iso = StsMap(truncated_after, truncated_before, mapping)
     assert len(set(iso.mapping.values())) == len(iso.mapping)
+
+
+def _free_graph(edges: tuple[int, ...], arcs: dict[int, tuple[int, int]]) -> Sts:
+    """The free set on a directed graph: vertices 0, 1, 2, edges in ``edges`` order."""
+    faces = {(e, 1, alpha): arcs[e][alpha] for e in edges for alpha in (0, 1)}
+    return free_sts(Precubical(1, {0: (0, 1, 2), 1: edges}, faces))
+
+
+def test_find_iso_backtracks_and_reports_no_iso():
+    path = {3: (0, 1), 4: (1, 2)}
+    forward, backward = _free_graph((3, 4), path), _free_graph((4, 3), path)
+    # the first guess sends edge 0->1 onto edge 1->2, its faces then clash
+    # with the second edge, and the search must undo and try again
+    iso = find_iso(forward, backward)
+    assert iso is not None and iso.mapping == {3: 4, 4: 3, 0: 0, 1: 1, 2: 2}
+    # equal graded counts, no isomorphism: a face is already pinned to
+    # another image (the fork) or lands on a vertex already taken (the join)
+    fork = _free_graph((3, 4), {3: (0, 1), 4: (0, 2)})
+    join = _free_graph((3, 4), {3: (0, 2), 4: (1, 2)})
+    assert graded_counts_equal(forward, fork) and graded_counts_equal(join, forward)
+    assert find_iso(forward, fork) is None
+    assert find_iso(join, forward) is None
+    assert find_iso(forward, _free_graph((3,), path)) is None
+
+
+def test_precubical_refuses_cubes_above_max_dim():
+    with pytest.raises(ValueError, match="cube 2 is in level 1, but max_dim is 0"):
+        Precubical(0, {0: (0, 1), 1: (2,)}, {(2, 1, 0): 0, (2, 1, 1): 1})
+    with pytest.raises(ValueError, match="cube 0 is in level 0, but max_dim is -1"):
+        Precubical(-1, {0: (0,)}, {})
+    # empty levels outside the range are harmless
+    assert Precubical(0, {0: (0,), 1: ()}, {}).dim_of == {0: 0}
