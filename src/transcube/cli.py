@@ -131,7 +131,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def _parse_presentation(text: str) -> PointPresentation:
     cube, _, coords = text.partition(",")
-    return PointPresentation(int(cube), parse_point(coords))
+    try:
+        cube_id = int(cube)
+    except ValueError:
+        raise CliError(
+            f"presentation {text!r} does not start with a cube id, as in \"cube,x1,x2,...\""
+        ) from None
+    return PointPresentation(cube_id, parse_point(coords))
 
 
 def cmd_dpath(args: argparse.Namespace) -> int:

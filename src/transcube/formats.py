@@ -64,7 +64,11 @@ def parse_precubical(data: dict) -> Precubical:
     faces = {}
     for cid, table in _of(dict, data.get("faces", {}), "faces").items():
         for key, target in _of(dict, table, "a face table").items():
-            i, alpha = (int(tok) for tok in key.split(","))
+            i, _, alpha = key.partition(",")
+            try:
+                i, alpha = int(i), int(alpha)
+            except ValueError:
+                raise ValueError(f"face key {key!r} is not of the form 'i,alpha'") from None
             faces[(_int(cid, "a cube id"), i, alpha)] = _int(target, "a face target")
     if len(set().union(*cubes.values())) != sum(map(len, cubes.values())):
         ids = [c for level in cubes.values() for c in level]
@@ -92,7 +96,9 @@ def parse_dpath(data: dict) -> DPath:
         cube = _int(leg.get("cube", 0), "the cube of a leg")
         pairs = []
         for row in _of(list, _key(leg, "breakpoints", "a leg"), "breakpoints"):
-            t, *coords = _of(list, row, "a breakpoint")
+            if not _of(list, row, "a breakpoint"):
+                raise ValueError("a breakpoint is empty; it needs a time and coordinates")
+            t, *coords = row
             pairs.append((_rat(t), tuple(_rat(c) for c in coords)))
         legs.append((cube, segment_path(dim, pairs)))
     return DPath(tuple(legs))

@@ -137,6 +137,8 @@ def chain_distance_sample(
     distance.  ``budget`` caps the node count; when it bites, the refinement
     is reduced and the bound is flagged as exhausted.
     """
+    if refinement < 0:
+        raise ValueError(f"refinement must be nonnegative, got {refinement}")
     for pres in (p, q):
         if pres.cube_id not in sts.dim_of:
             raise ValueError(f"no cube {pres.cube_id} in this set")

@@ -65,24 +65,36 @@ def charge(cells: int, what: str, *args: object) -> None:
 HOMSET_CACHE_MAXSIZE = 256
 
 
-def _charged(body):
-    """A cached ``(m, n) -> maps`` body behind a gate that charges the
-    ``len(maps) << m`` cells of its result on every call, warm or cold."""
-    cached = lru_cache(maxsize=HOMSET_CACHE_MAXSIZE)(body)
-    label = body.__name__ + "(%s, %s)"
+def charged_cache(maxsize: int):
+    """Decorator: keep ``body(*args) -> (value, cells)`` in an ``lru_cache`` of
+    ``maxsize`` entries behind a gate that charges ``cells`` on every call,
+    warm or cold, and returns ``value``.
 
-    @wraps(body)
-    def gate(m: int, n: int) -> tuple[CubeMap, ...]:
-        maps = cached(m, n)
-        charge(len(maps) << m, label, m, n)
-        return maps
+    ``cells`` is the largest charge the cold body makes with the caches it
+    reads warm, so the smallest budget a call accepts does not depend on
+    whether its result was cached.  The gate keeps the body's name and
+    exposes ``cache_info`` and ``cache_clear``; a refused charge names the
+    call, as in ``enumerate_homset(4, 4)``.
+    """
 
-    gate.cache_info, gate.cache_clear = cached.cache_info, cached.cache_clear
-    return gate
+    def wrap(body):
+        cached = lru_cache(maxsize=maxsize)(body)
+        label = body.__name__ + "(" + ", ".join(["%s"] * body.__code__.co_argcount) + ")"
+
+        @wraps(body)
+        def gate(*args):
+            value, cells = cached(*args)
+            charge(cells, label, *args)
+            return value
+
+        gate.cache_info, gate.cache_clear = cached.cache_info, cached.cache_clear
+        return gate
+
+    return wrap
 
 
-@_charged
-def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
+@charged_cache(HOMSET_CACHE_MAXSIZE)
+def enumerate_homset(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
     """All cotransverse maps ``[m] -> [n]`` in lexicographic table order.
 
     Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the tables
@@ -96,7 +108,7 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
     if m > n:
-        return ()
+        return (), 0
     what = f"enumerate_homset({m}, {n})"
     charge(comb(n, m) << n, what)
 
@@ -150,7 +162,7 @@ def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
             dfs(1)
 
     tables.sort()
-    return tuple(interned(m, n, t) for t in tables)
+    return tuple(interned(m, n, t) for t in tables), len(tables) << m
 
 
 def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
@@ -184,12 +196,12 @@ def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, 
     return tuple(family)
 
 
-@_charged
-def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
+@charged_cache(HOMSET_CACHE_MAXSIZE)
+def enumerate_cofaces(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
     """All coface composites ``[m] -> [n]``: choose the m free coordinates and
     the constant value of each remaining one.  Lexicographic table order."""
     if m > n:
-        return ()
+        return (), 0
     charge(comb(n, m) << n, f"enumerate_cofaces({m}, {n})")
     # The constants of the fixed coordinates range over the table of the
     # coface that inserts them into the all-zero base.
@@ -198,7 +210,7 @@ def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
         for free in combinations(range(n), m)
         for base in coface_table(0, tuple(i for i in range(n) if i not in free))
     )
-    return tuple(interned(m, n, t) for t in tables)
+    return tuple(interned(m, n, t) for t in tables), len(tables) << m
 
 
 def is_coface(f: CubeMap) -> bool:

@@ -23,6 +23,7 @@ meet at the same vertex of it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .cube import CubeMap, Frozen, Vertex, bits_leq, compose
@@ -277,6 +278,12 @@ def naturality_certificate(p: DPath) -> NaturalityCertificate:
     return NaturalityCertificate(ok, total, tuple(records))
 
 
+def _check_below(alpha: Vertex, beta: Vertex) -> None:
+    alpha._check_dim(beta)
+    if not (bits_leq(alpha.bits, beta.bits) and alpha.bits != beta.bits):
+        raise ValueError(f"{alpha} is not strictly below {beta}")
+
+
 def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
     """The unique coface composite sending the bottom of ``[k]`` to ``alpha``
     and the top to ``beta``, where ``k`` is their directed distance.
@@ -285,9 +292,7 @@ def induced_coface(alpha: Vertex, beta: Vertex) -> CubeMap:
     coordinates (in increasing order); the rest are constant at the shared
     value.  Requires ``alpha`` strictly below ``beta``.
     """
-    alpha._check_dim(beta)
-    if not (bits_leq(alpha.bits, beta.bits) and alpha.bits != beta.bits):
-        raise ValueError(f"{alpha} is not strictly below {beta}")
+    _check_below(alpha, beta)
     return coface_part(alpha.bits, beta.bits, alpha.dim)[0]
 
 
@@ -299,13 +304,27 @@ def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:
     composite: the coface part lands on the face spanned by ``f(alpha)`` and
     ``f(beta)`` and the endomap part is the induced map.  Satisfies the
     cocycle law: composing maps composes the induced maps along matching
-    endpoints.
+    endpoints.  The arguments are checked on every call; the result is
+    memoized per ``f`` on ``(alpha.bits, beta.bits)``.
     """
     if alpha.dim != f.dom_dim:
         raise ValueError("endpoints must live in the source cube")
-    delta = induced_coface(alpha, beta)
-    fac = factorize(compose(f, delta))
-    fa, fb = f.table[alpha.bits], f.table[beta.bits]
-    if fac.phi.table[0] != fa or fac.phi.table[-1] != fb:
-        raise AssertionError("coface part does not span the image face")
-    return fac.psi
+    _check_below(alpha, beta)
+    memo = _induced_maps(f)
+    key = alpha.bits << f.dom_dim | beta.bits
+    psi = memo.get(key)
+    if psi is None:
+        fac = factorize(compose(f, coface_part(alpha.bits, beta.bits, f.dom_dim)[0]))
+        if fac.phi.table[0] != f.table[alpha.bits] or fac.phi.table[-1] != f.table[beta.bits]:
+            raise AssertionError("coface part does not span the image face")
+        psi = memo[key] = fac.psi
+    return psi
+
+
+@lru_cache(maxsize=1 << 12)
+def _induced_maps(f: CubeMap) -> dict[int, CubeMap]:
+    """The induced maps of ``f`` found so far, by ``alpha.bits << m |
+    beta.bits``; :func:`induced_path_map` fills it.  One small dict per map
+    keeps a memo entry near 40 bytes, against about 150 for a cache keyed
+    on the triple ``(f, alpha.bits, beta.bits)``."""
+    return {}

@@ -27,6 +27,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple
 from .cube import CubeMap, compose
 from .homsets import (
     charge,
+    charged_cache,
     count_homset,
     enumerate_homset,
     factorize,
@@ -34,7 +35,17 @@ from .homsets import (
     is_coface,
 )
 from .quotient import QuotientSet
-from .sts import Sts, _build, action_tables, boundary, check_action, family_table
+from .sts import (
+    BUILD_CACHE_MAXSIZE,
+    Sts,
+    _build,
+    _cells,
+    _new,
+    action_tables,
+    boundary,
+    check_action,
+    family_table,
+)
 
 
 def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
@@ -168,6 +179,15 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     return quot
 
 
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _weight(n: int) -> tuple[Sts, int]:
+    """The cached set behind :func:`boundary_weight`."""
+    quots = [boundary_hom(p, n, n) for p in range(n)]
+    graded = [q.representatives() for q in quots] + [[]]
+    weight = _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
+    return weight, _cells(weight)
+
+
 def boundary_weight(n: int) -> Sts:
     """The degree-``n`` boundary-hom weight as a symmetric transverse set.
 
@@ -175,11 +195,10 @@ def boundary_weight(n: int) -> Sts:
     :func:`boundary_hom` ``(p, n, n)`` and level ``n`` is empty, so the
     weight has the shape of :func:`transcube.sts.boundary`.  A map ``u``
     acts by ``(m, h, g) -> class of (m, h, g o u)``; labels carry the
-    representatives.
+    representatives.  Built once per ``n``; each call returns a new set
+    over the cached tables.
     """
-    quots = [boundary_hom(p, n, n) for p in range(n)]
-    graded = [q.representatives() for q in quots] + [[]]
-    return _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
+    return _new(_weight(n))
 
 
 def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
@@ -190,7 +209,17 @@ def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
     :func:`boundary_weight` ``(n)`` and ``a`` a level-``p`` value; the
     weight's ``labels[c]`` gives back the boundary-hom triple ``(m, h, g)``.
     """
-    return weighted_coend_eval(a_obj, boundary_weight(n))
+    return weighted_coend_eval(a_obj, _weight(n))
+
+
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _weight_to_boundary(n: int) -> tuple[tuple[Sts, Sts, dict[int, int]], int]:
+    """The weight, the boundary of ``[n]``, and the cube of ``h o g`` in the
+    boundary for each weight cube labelled ``(m, h, g)``."""
+    weight, bnd = _weight(n), boundary(n)
+    cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
+    to_boundary = {c: cube_index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
+    return (weight, bnd, to_boundary), max(_cells(weight), _cells(bnd))
 
 
 class LatchingComparison(NamedTuple):
@@ -215,13 +244,9 @@ def compare_latching_to_boundary(a_obj: CotransverseSetObj, n: int) -> LatchingC
     ``(p, c, a)`` maps to the class of ``(p, cube of h o g, a)``; the map
     must be well defined on classes and a bijection.
     """
-    weight = boundary_weight(n)
+    weight, bnd, to_boundary = _weight_to_boundary(n)
     lat = weighted_coend_eval(a_obj, weight)
-    bnd = boundary(n)
     ev = weighted_coend_eval(a_obj, bnd)
-
-    cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
-    to_boundary = {c: cube_index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
 
     image_classes: dict[tuple, tuple] = {}
     for cls in lat.classes():

@@ -11,6 +11,14 @@ fixed cube, acting by precomposition), truncations and boundaries, free
 generation from a precubical set via normal forms, dimensionwise pushouts,
 and cell-by-cell assembly with a certificate.  Completed values are
 immutable in use: nothing here mutates a built object.
+
+The fixed objects are built once per key: the tables of
+:func:`representable` and :func:`boundary` and the action of each
+generator on the normal forms of a free set sit in bounded caches that
+charge the cell budget the same way warm or cold
+(:func:`transcube.homsets.charged_cache`).  Cached tables are shared and
+never mutated; the public builders return a new :class:`Sts` over them on
+every call, since a set is compared by identity.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 from .cube import CubeMap, Frozen, coface, compose, identity
 from .homsets import (
     charge,
+    charged_cache,
     composable_pairs,
     enumerate_cofaces,
     enumerate_homset,
@@ -194,14 +203,40 @@ def empty_sts(max_dim: int) -> Sts:
     return _build([[] for _ in range(max_dim + 1)], lambda u, x: None)
 
 
+#: Bound on the entries of each build cache here.  The default cell budget
+#: refuses the representable of ``[4]`` and any level above ``[4]``, so every
+#: key a build can reach fits several times over.
+BUILD_CACHE_MAXSIZE = 64
+
+
+def _cells(sts: Sts) -> int:
+    """The largest charge a build of ``sts`` makes: its generating action
+    tables (:func:`action_tables`) or the hom-set of one level (``len << m``
+    cells, as :func:`enumerate_homset` charges)."""
+    entries = sum(map(len, sts.face.values())) + sum(len(t) for by in sts.endo.values() for t in by.values())
+    return max([entries] + [len(ids) << m for m, ids in sts.cubes.items()])
+
+
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _hom_sts(n: int, top: int, below: int) -> tuple[Sts, int]:
+    """Levels ``m < below`` of the representable of ``[n]`` up to ``[top]``."""
+    graded = [list(enumerate_homset(m, n)) if m < below else [] for m in range(top + 1)]
+    sts = _build(graded, lambda u, g: compose(g, u))
+    return sts, _cells(sts)
+
+
+def _new(sts: Sts) -> Sts:
+    """A new set over the tables of a cached one."""
+    return Sts(sts.max_dim, sts.cubes, sts.face, sts.endo, sts.labels)
+
+
 def representable(n: int, max_dim: int | None = None) -> Sts:
     """The symmetric transverse set of all cotransverse maps into ``[n]``.
 
     Dimension ``m`` holds the hom-set ``[m] -> [n]`` and every map acts by
     precomposition.  Labels are the hom elements themselves.
     """
-    top = n if max_dim is None else max_dim
-    return _build([list(enumerate_homset(m, n)) for m in range(top + 1)], lambda u, g: compose(g, u))
+    return _new(_hom_sts(n, n if max_dim is None else max_dim, n + 1))
 
 
 def generator_tables(sts: Sts) -> dict[CubeMap, dict[int, int]]:
@@ -221,8 +256,8 @@ def truncate(sts: Sts, n: int) -> Sts:
 
 def boundary(n: int, max_dim: int | None = None) -> Sts:
     """All maps into ``[n]`` of dimension strictly below ``n``; empty for
-    ``n == 0``."""
-    return truncate(representable(n, max_dim), n - 1)
+    ``n == 0``.  The truncation of :func:`representable` below ``n``."""
+    return _new(_hom_sts(n, n if max_dim is None else max_dim, n))
 
 
 class StsMap(Frozen):
@@ -351,6 +386,31 @@ class Precubical(Frozen):
         return out
 
 
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _free_rows(n: int) -> tuple[dict[CubeMap, tuple[tuple[int, ...], tuple]], int]:
+    """The action of the generators into ``[n]`` on normal forms, whatever
+    the generating cubes.
+
+    One row ``(targets, paths)`` per generator ``u: [m] -> [n]``.  For the
+    ``j``-th endomap ``psi`` of ``[n]``, ``psi o u`` factors as the
+    ``targets[j]``-th endomap of ``[m]`` followed by cofaces, and
+    ``paths[j]`` lists those as ``(i, alpha)`` in the order a generating
+    cube is pulled through them.  One cell per ``(u, j)``, charged before
+    any row is built.
+    """
+    endos = enumerate_homset(n, n)
+    cells = (2 * n + len(endos)) * len(endos)  # the 2n elementary cofaces and the endomaps
+    charge(cells, "_free_rows(%s)", n)  # the label of the gate, which charges it warm
+    index = {psi: j for m in (n - 1, n) for j, psi in enumerate(enumerate_homset(m, m))}
+    rows = {}
+    for _, u in generating_family(n):
+        if u.cod_dim == n:
+            facs = [factorize(compose(psi, u)) for psi in endos]
+            paths = tuple(tuple((i, alpha) for _, i, alpha in reversed(fac.steps)) for fac in facs)
+            rows[u] = (tuple(index[fac.psi] for fac in facs), paths)
+    return rows, cells
+
+
 def free_sts(k: Precubical) -> Sts:
     """The symmetric transverse set freely generated by a precubical set.
 
@@ -359,20 +419,28 @@ def free_sts(k: Precubical) -> Sts:
     always ``|endos of [m]| * |K_m|``.  A map ``f`` acts by factorizing
     ``psi o f``: the coface part pulls the generator back through the
     precubical faces and the endomap part becomes the new normal form.
+    That factorization depends on ``psi`` and the generator only, so it is
+    read from :func:`_free_rows`, fetched for the levels that have cubes.
     """
-    endos = [enumerate_homset(m, m) for m in range(k.max_dim + 1)]
-    graded = [[FreeCell(psi, c) for c in k.cubes.get(m, ()) for psi in endos[m]] for m in range(k.max_dim + 1)]
+    top = k.max_dim
+    endos = [enumerate_homset(m, m) for m in range(top + 1)]
+    levels = [k.cubes.get(m, ()) for m in range(top + 1)]
+    cubes, labels = _number([[FreeCell(psi, c) for c in levels[m] for psi in endos[m]] for m in range(top + 1)])
+    # The cell (j-th endomap, b-th generating cube) of level m is cubes[m][b * |endos of [m]| + j].
+    pos = {c: b for level in levels for b, c in enumerate(level)}
+    rows = {n: _free_rows(n) for n in range(1, top + 1) if levels[n]}
 
-    def act(u: CubeMap, cell: FreeCell) -> FreeCell:
-        if u.dom_dim == u.cod_dim:
-            return FreeCell(compose(cell.psi, u), cell.base)
-        fac = factorize(compose(cell.psi, u))
-        c = cell.base
-        for _, i, alpha in reversed(fac.steps):
-            c = k.faces[(c, i, alpha)]
-        return FreeCell(fac.psi, c)
+    def act(u: CubeMap, x: int) -> int:
+        n, m = u.cod_dim, u.dom_dim
+        b, j = divmod(x - cubes[n][0], len(endos[n]))
+        targets, paths = rows[n][u]
+        d = levels[n][b]
+        for i, alpha in paths[j]:
+            d = k.faces[(d, i, alpha)]
+        return cubes[m][pos[d] * len(endos[m]) + targets[j]]
 
-    return _build(graded, act)
+    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
+    return Sts(top, cubes, face, endo, labels)
 
 
 def cube_precubical(n: int) -> Precubical:
@@ -490,8 +558,7 @@ def certify_cellular(
             raise ValueError(f"cell dimension {n} above the ambient bound {max_dim}")
         prev_dim = n
         if n != cell_dim:  # the entries of one dimension share the cell and its boundary
-            cell_dim, cell = n, representable(n, max_dim)
-            bnd = truncate(cell, n - 1)
+            cell_dim, cell, bnd = n, representable(n, max_dim), boundary(n, max_dim)
             to_cell = inclusion_map(bnd, cell)
         attach_raw = entry.get("attach", {})
         attach = {int(k): int(v) for k, v in attach_raw.items()}

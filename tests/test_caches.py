@@ -1,0 +1,236 @@
+"""The caches of the fixed objects: each keeps an independent oracle, hands
+out results equal to a cold build, charges the cell budget the same way
+warm or cold, and is bounded."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import transcube
+from transcube import paths, reedy, sts
+from transcube.cube import Vertex, compose
+from transcube.homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
+from transcube.paths import induced_path_map
+from transcube.reedy import boundary_weight
+from transcube.sts import (
+    FreeCell,
+    Precubical,
+    Sts,
+    boundary,
+    boundary_precubical,
+    cube_precubical,
+    free_sts,
+    representable,
+)
+
+
+def reference_free_sts(k: Precubical) -> Sts:
+    """The per-cell rule that :func:`free_sts` reads from its cached rows:
+    factorize ``psi o u`` for every cell and generator, pull the base back
+    through the precubical faces, and number the results through ``_build``."""
+    endos = [enumerate_homset(m, m) for m in range(k.max_dim + 1)]
+    graded = [[FreeCell(psi, c) for c in k.cubes.get(m, ()) for psi in endos[m]] for m in range(k.max_dim + 1)]
+
+    def act(u, cell):
+        if u.dom_dim == u.cod_dim:
+            return FreeCell(compose(cell.psi, u), cell.base)
+        fac = factorize(compose(cell.psi, u))
+        c = cell.base
+        for _, i, alpha in reversed(fac.steps):
+            c = k.faces[(c, i, alpha)]
+        return FreeCell(fac.psi, c)
+
+    return sts._build(graded, act)
+
+
+def dump(s: Sts) -> tuple:
+    """Everything a set holds, in order: ids, labels and every table entry."""
+    return (
+        s.max_dim,
+        list(s.cubes.items()),
+        list(s.labels.items()),
+        [(key, list(table.items())) for key, table in s.face.items()],
+        [(n, [(u, list(table.items())) for u, table in by.items()]) for n, by in s.endo.items()],
+    )
+
+
+def square_grid(a: int, b: int) -> Precubical:
+    """The grid of ``a x b`` unit squares: vertices, then horizontal and
+    vertical edges, then squares; coordinate 1 runs along x."""
+    ids: dict[tuple, int] = {}
+    for key in (
+        [("v", x, y) for x in range(a + 1) for y in range(b + 1)]
+        + [("h", x, y) for x in range(a) for y in range(b + 1)]
+        + [("u", x, y) for x in range(a + 1) for y in range(b)]
+        + [("s", x, y) for x in range(a) for y in range(b)]
+    ):
+        ids[key] = len(ids)
+    faces = {}
+    for (kind, x, y), c in ids.items():
+        for alpha in (0, 1):
+            if kind == "h":
+                faces[(c, 1, alpha)] = ids[("v", x + alpha, y)]
+            elif kind == "u":
+                faces[(c, 1, alpha)] = ids[("v", x, y + alpha)]
+            elif kind == "s":
+                faces[(c, 1, alpha)] = ids[("u", x + alpha, y)]
+                faces[(c, 2, alpha)] = ids[("h", x, y + alpha)]
+    levels = {0: "v", 1: "hu", 2: "s"}
+    cubes = {n: tuple(c for key, c in ids.items() if key[0] in kinds) for n, kinds in levels.items()}
+    return Precubical(2, cubes, faces)
+
+
+_FREE_INPUTS = {
+    **{f"cube {n}": (lambda n=n: cube_precubical(n)) for n in range(4)},
+    **{f"boundary {n}": (lambda n=n: boundary_precubical(n)) for n in range(4)},
+    "3x3 grid": lambda: square_grid(3, 3),
+    "no level 1, empty level 2": lambda: Precubical(2, {0: (0, 1, 2), 2: ()}, {}),
+    "path up to [3]": lambda: Precubical(3, {0: (0, 1, 2), 1: (3, 4)}, {(3, 1, 0): 0, (3, 1, 1): 1, (4, 1, 0): 1, (4, 1, 1): 2}),
+    "max_dim 0": lambda: Precubical(0, {0: (7, 3)}, {}),
+}
+
+
+@pytest.mark.parametrize("build", _FREE_INPUTS.values(), ids=_FREE_INPUTS)
+def test_free_sts_matches_the_per_cell_rule(build):
+    k = build()
+    assert dump(free_sts(k)) == dump(reference_free_sts(k))
+
+
+@pytest.mark.parametrize("builder", [representable, boundary], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n, max_dim", [(n, None) for n in range(4)] + [(0, 2), (1, 3), (2, 3)])
+def test_cached_builds_equal_cold_ones(builder, n, max_dim):
+    warm = builder(n, max_dim)
+    assert builder(n, max_dim) is not warm and builder(n, max_dim).face is not warm.face
+    sts._hom_sts.cache_clear()
+    assert dump(builder(n, max_dim)) == dump(warm)
+
+
+def test_a_caller_cannot_change_the_cached_tables():
+    r2 = representable(2)
+    expected = dump(r2)
+    r2.face.clear()
+    r2.endo.clear()
+    r2.labels.clear()
+    r2.cubes[0] = ()
+    assert dump(representable(2)) == expected
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_cached_weight_equals_a_cold_one(n):
+    warm = boundary_weight(n)
+    assert boundary_weight(n) is not warm
+    reedy._weight.cache_clear()
+    assert dump(boundary_weight(n)) == dump(warm)
+
+
+def _induced_maps() -> list:
+    return [
+        induced_path_map(f, Vertex(m, a), Vertex(m, b))
+        for n in range(4)
+        for m in range(n + 1)
+        for f in enumerate_homset(m, n)
+        for b in range(1 << m)
+        for a in range(b)
+        if a & ~b == 0
+    ]
+
+
+def test_cached_induced_path_maps_equal_cold_ones():
+    warm = _induced_maps()
+    paths._induced_maps.cache_clear()
+    assert _induced_maps() == warm
+
+
+def test_bad_induced_path_map_arguments_raise_on_every_call():
+    f = enumerate_homset(2, 2)[0]
+    for _ in range(2):
+        before = paths._induced_maps.cache_info().currsize
+        for alpha, beta in [(Vertex(2, 3), Vertex(2, 1)), (Vertex(2, 1), Vertex(2, 1)), (Vertex(1, 0), Vertex(1, 1))]:
+            with pytest.raises(ValueError):
+                induced_path_map(f, alpha, beta)
+        with pytest.raises(ValueError):
+            induced_path_map(f, Vertex(2, 0), Vertex(3, 7))
+        assert paths._induced_maps.cache_info().currsize == before
+
+
+def _smallest_budget(call, cold) -> int:
+    """The least cell budget under which ``call()`` succeeds, with ``cold()``
+    run before every try (warm otherwise: the call has succeeded once)."""
+    call()
+    lo, hi = 0, 10_000_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cold()
+        set_cell_budget(mid)
+        try:
+            call()
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+        finally:
+            set_cell_budget(None)
+    return lo
+
+
+_CACHED_BUILDS = {
+    "representable(2)": (lambda: representable(2), sts._hom_sts),
+    # no action tables: the hom-set of a level is the largest charge
+    "representable(2, 0)": (lambda: representable(2, 0), sts._hom_sts),
+    "boundary_weight(1)": (lambda: boundary_weight(1), reedy._weight),
+    "boundary(3)": (lambda: boundary(3), sts._hom_sts),
+    "boundary_weight(3)": (lambda: boundary_weight(3), reedy._weight),
+    "free rows of [3]": (lambda: sts._free_rows(3), sts._free_rows),
+    "latching frame of [3]": (lambda: reedy._weight_to_boundary(3), reedy._weight_to_boundary),
+}
+
+
+@pytest.mark.parametrize("call, cache", _CACHED_BUILDS.values(), ids=_CACHED_BUILDS)
+def test_warm_and_cold_calls_accept_the_same_budgets(call, cache):
+    warm = _smallest_budget(call, lambda: None)
+    assert warm > 0
+    assert _smallest_budget(call, cache.cache_clear) == warm
+
+
+def test_free_sts_charges_as_its_tables():
+    # the rows of a level are never charged above the tables built from them
+    k = cube_precubical(3)
+    needed = _smallest_budget(lambda: free_sts(k), sts._free_rows.cache_clear)
+    expected = free_sts(k)
+    entries = sum(map(len, expected.face.values())) + sum(len(t) for by in expected.endo.values() for t in by.values())
+    assert needed == entries
+
+
+#: Every cache of the package, by module and name; each must be bounded.
+EXPECTED_CACHES = {
+    "cube._covering_pairs",
+    "cube._minimal_preimages",
+    "cube._preimages_of_one",
+    "cube.interned",
+    "homsets.coface_part",
+    "homsets.decompose_coface",
+    "homsets.enumerate_cofaces",
+    "homsets.enumerate_homset",
+    "homsets.factorize",
+    "homsets.generating_family",
+    "paths._induced_maps",
+    "reedy._weight",
+    "reedy._weight_to_boundary",
+    "sts._free_rows",
+    "sts._hom_sts",
+}
+
+
+def test_every_cache_is_bounded():
+    found = {}
+    for info in pkgutil.iter_modules(transcube.__path__):
+        module = importlib.import_module(f"transcube.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and getattr(obj, "__module__", None) == module.__name__:
+                found[f"{info.name}.{name}"] = obj.cache_info()
+    assert set(found) == EXPECTED_CACHES
+    for name, info in found.items():
+        assert info.maxsize is not None and 0 < info.maxsize < 1 << 20, name
+        assert info.currsize <= info.maxsize, name

@@ -544,3 +544,38 @@ def test_cubes_above_max_dim_are_refused(tmp_path, capsys):
     # a bound above the data adds empty levels
     code, out = run(capsys, "free", "--input", interval, "--max-dim", "3")
     assert code == 0 and out.splitlines() == ["dim 0: 2", "dim 1: 1", "dim 2: 0", "dim 3: 0"]
+
+
+_UNNAMED = {
+    "empty breakpoint": (
+        ["dpath", "verify", "--input", "{path}"],
+        {"legs": [{"dim": 1, "breakpoints": [[], ["1", "1"]]}]},
+        "a breakpoint is empty; it needs a time and coordinates",
+    ),
+    "face key without alpha": (
+        ["free", "--input", "{path}"],
+        {"max_dim": 1, "cubes": {"0": [0, 1], "1": [2]}, "faces": {"2": {"1": 0, "1,1": 1}}},
+        "face key '1' is not of the form 'i,alpha'",
+    ),
+    "negative refinement": (
+        ["dist", "--input", "{interval}", "--chain", "--p", "2,1/2", "--q", "2,1", "--refinement", "-1"],
+        None,
+        "refinement must be nonnegative, got -1",
+    ),
+    "presentation without a cube id": (
+        ["dist", "--input", "{interval}", "--chain", "--p", "x,1/2", "--q", "2,1"],
+        None,
+        "presentation 'x,1/2' does not start with a cube id, as in \"cube,x1,x2,...\"",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, data, message", _UNNAMED.values(), ids=_UNNAMED)
+def test_malformed_fields_are_named(tmp_path, capsys, argv, data, message):
+    # each of these used to reach the user as a bare Python message
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    files = {"path": str(path), "interval": str(interval_json(tmp_path))}
+    code = main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and err == f"error: {message}\n"
