@@ -179,8 +179,8 @@ def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
     ]
 
 
-@lru_cache(maxsize=16)
-def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, CubeMap], ...]:
+@charged_cache(16)
+def generating_family(max_dim: int) -> tuple[tuple[tuple[tuple[int, int, int] | None, CubeMap], ...], int]:
     """The maps whose actions determine every action, up to ``[max_dim]``.
 
     For each ``1 <= n <= max_dim``: the elementary cofaces into ``[n]`` by
@@ -188,12 +188,16 @@ def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, 
     Entries are ``(key, u)`` with key ``(n, i, alpha)`` for a coface and
     ``None`` for an endomap.  Every map is an endomap followed by a composite
     of cofaces, which is why acting by these few maps determines the rest.
+    Charges the largest endomap hom-set, ``|End([n])| << n`` cells.
     """
     family: list[tuple[tuple[int, int, int] | None, CubeMap]] = []
+    cells = 0
     for n in range(1, max_dim + 1):
+        endos = enumerate_homset(n, n)
         family += [((n, i, a), coface(i, a, n)) for i in range(1, n + 1) for a in (0, 1)]
-        family += [(None, e) for e in enumerate_homset(n, n)]
-    return tuple(family)
+        family += [(None, e) for e in endos]
+        cells = max(cells, len(endos) << n)
+    return tuple(family), cells
 
 
 @charged_cache(HOMSET_CACHE_MAXSIZE)

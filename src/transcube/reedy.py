@@ -3,18 +3,17 @@
 For dimensions ``p, q`` and a degree bound ``n``, the boundary hom-set is
 the coend over intermediate cubes of dimension below ``n`` of pairs
 ``(h: [m] -> [q], g: [p] -> [m])``, two pairs being identified whenever a
-connecting map rewrites one into the other.  Computed as a union-find
-quotient, it collapses onto a closed form: empty when ``p > q`` or
-``n <= p``, and in bijection with the full hom-set ``[p] -> [q]``
-otherwise, every class containing exactly one pair whose outer leg is a
-coface composite out of ``[p]``.
+connecting map rewrites one into the other.  It collapses onto a closed
+form: empty when ``p > q`` or ``n <= p``, and in bijection with the full
+hom-set ``[p] -> [q]`` otherwise, every class containing exactly one pair
+whose outer leg is a coface composite out of ``[p]``.
 
 Latching objects of set-valued cotransverse objects are coends weighted by
-these boundary hom-sets.  The weight is a symmetric transverse set built
-from the union-find quotients above, and every coend here, latching object
-or evaluation, is computed by the one function :func:`weighted_coend_eval`.
-What stays independent is the weight: it comes from gluing along every
-connecting map, while the boundary of the representable comes from
+these boundary hom-sets, gathered into a symmetric transverse set.  Every
+coend here, boundary hom-set, latching object or evaluation, is computed
+by the one union-find loop :func:`weighted_coend_eval`, which glues along
+the generating family.  What stays independent is the weight: it comes
+from those coends, while the boundary of the representable comes from
 truncating it.  Matching the two coends is the identification that reduces
 the degreewise model structure to the projective one (matching objects
 being forced terminal by the emptiness of the diagonal boundary hom-sets).
@@ -49,22 +48,13 @@ from .sts import (
 
 
 def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
-    """The degree-``n`` boundary hom quotient between ``[p]`` and ``[q]``.
-
-    Elements are triples ``(m, h, g)`` with ``m < n``; the generating
-    identifications run over all connecting maps ``k: [m] -> [m']`` between
-    admissible levels: ``(m, h o k, g)`` glues to ``(m', h, k o g)``.
+    """The degree-``n`` boundary hom quotient between ``[p]`` and ``[q]``:
+    the coend of the maps out of ``[p]`` against the maps into ``[q]``, below
+    ``[n]``.  Elements are triples ``(m, h, g)`` with ``m < n``, and
+    ``(m, h o k, g)`` glues to ``(m', h, k o g)`` for ``k: [m] -> [m']``.
     """
-    into, out_of = [enumerate_homset(p, m) for m in range(n)], [enumerate_homset(m, q) for m in range(n)]
-    quot = QuotientSet([(m, h, g) for m in range(n) for h in out_of[m] for g in into[m]])
-    for m in range(n):
-        for m2 in range(m, n):
-            for k in enumerate_homset(m, m2):
-                for h in out_of[m2]:
-                    hk = compose(h, k)
-                    for g in into[m]:
-                        quot.identify((m, hk, g), (m2, h, compose(k, g)))
-    return quot
+    top = min(n - 1, q)  # no map into [q] comes from a level above it
+    return weighted_coend_eval(hom_obj(p, top), _maps_into(q, top))
 
 
 def boundary_hom_closed_form(p: int, q: int, n: int) -> int:
@@ -177,6 +167,16 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
             for a in a_obj.values[m]:
                 quot.identify((m, uc, a), (n, c, amap[a]))
     return quot
+
+
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _maps_into(q: int, top: int) -> tuple[Sts, int]:
+    """The maps into ``[q]`` from levels up to ``[top]``, acting by
+    precomposition, with the maps themselves as cube ids."""
+    graded = [enumerate_homset(m, q) for m in range(top + 1)]
+    face, endo = action_tables(graded, lambda u, h: compose(h, u), contravariant=True)
+    maps = Sts(top, dict(enumerate(graded)), face, endo)
+    return maps, _cells(maps)
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)

@@ -211,10 +211,12 @@ BUILD_CACHE_MAXSIZE = 64
 
 def _cells(sts: Sts) -> int:
     """The largest charge a build of ``sts`` makes: its generating action
-    tables (:func:`action_tables`) or the hom-set of one level (``len << m``
-    cells, as :func:`enumerate_homset` charges)."""
+    tables (:func:`action_tables`), the hom-set of one level (``len << m``
+    cells, as :func:`enumerate_homset` charges) or the endomaps of one
+    level (``|End([k])| << k``, as :func:`generating_family` charges)."""
     entries = sum(map(len, sts.face.values())) + sum(len(t) for by in sts.endo.values() for t in by.values())
-    return max([entries] + [len(ids) << m for m, ids in sts.cubes.items()])
+    levels = [len(ids) << m for m, ids in sts.cubes.items()] + [len(by) << k for k, by in sts.endo.items()]
+    return max([entries] + levels)
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
@@ -625,24 +627,22 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
             (family_table(a.face, a.endo, key, u), family_table(b.face, b.endo, key, u))
         )
 
-    def propagate(c: int, d: int) -> list[tuple[int, int]] | None:
-        """Force images of faces/endo-images of c; return new pins or None."""
-        pins = []
+    def pin(c: int, d: int) -> list[tuple[int, int]] | None:
+        """Pin ``c -> d`` and every image it forces through the generating
+        actions; return the new pins, or undo them all on a conflict."""
+        pins: list[tuple[int, int]] = []
         stack = [(c, d)]
         while stack:
             x, y = stack.pop()
-            for a_table, b_table in gens.get(a.dim_of[x], ()):
-                ax, by_ = a_table[x], b_table[y]
-                if ax in assignment:
-                    if assignment[ax] != by_:
-                        return None
-                elif by_ in used:
-                    return None
-                else:
-                    assignment[ax] = by_
-                    used.add(by_)
-                    pins.append((ax, by_))
-                    stack.append((ax, by_))
+            if x in assignment or y in used:
+                if assignment.get(x) == y:
+                    continue
+                undo(pins)
+                return None
+            assignment[x] = y
+            used.add(y)
+            pins.append((x, y))
+            stack += [(a_table[x], b_table[y]) for a_table, b_table in gens.get(a.dim_of[x], ())]
         return pins
 
     def undo(pins: list[tuple[int, int]]) -> None:
@@ -655,20 +655,12 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
             k += 1
         if k == len(order):
             return True
-        c = order[k]
-        n = a.dim_of[c]
-        for d in b.cubes[n]:
-            if d in used:
-                continue
-            assignment[c] = d
-            used.add(d)
-            pins = propagate(c, d)
-            if pins is not None and search(k + 1):
-                return True
+        for d in b.cubes[a.dim_of[order[k]]]:
+            pins = pin(order[k], d)
             if pins is not None:
+                if search(k + 1):
+                    return True
                 undo(pins)
-            del assignment[c]
-            used.discard(d)
         return False
 
     if search(0):

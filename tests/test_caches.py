@@ -10,11 +10,11 @@ import pkgutil
 import pytest
 
 import transcube
-from transcube import paths, reedy, sts
+from transcube import homsets, paths, reedy, sts
 from transcube.cube import Vertex, compose
 from transcube.homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
 from transcube.paths import induced_path_map
-from transcube.reedy import boundary_weight
+from transcube.reedy import boundary_hom, boundary_weight
 from transcube.sts import (
     FreeCell,
     Precubical,
@@ -194,6 +194,24 @@ def test_warm_and_cold_calls_accept_the_same_budgets(call, cache):
     assert _smallest_budget(call, cache.cache_clear) == warm
 
 
+def test_generating_family_charges_warm_and_cold_alike():
+    # the endomaps of [3], 66 << 3 cells, are charged whether or not the family is cached
+    def cold():
+        homsets.generating_family.cache_clear()
+        homsets.enumerate_homset.cache_clear()
+        sts._hom_sts.cache_clear()
+
+    warm = _smallest_budget(lambda: representable(1, 3), lambda: None)
+    assert warm == 66 << 3
+    assert _smallest_budget(lambda: representable(1, 3), cold) == warm
+
+
+def test_boundary_hom_charges_warm_and_cold_alike():
+    warm = _smallest_budget(lambda: boundary_hom(2, 3, 3), lambda: None)
+    assert warm > 0
+    assert _smallest_budget(lambda: boundary_hom(2, 3, 3), reedy._maps_into.cache_clear) == warm
+
+
 def test_free_sts_charges_as_its_tables():
     # the rows of a level are never charged above the tables built from them
     k = cube_precubical(3)
@@ -216,6 +234,7 @@ EXPECTED_CACHES = {
     "homsets.factorize",
     "homsets.generating_family",
     "paths._induced_maps",
+    "reedy._maps_into",
     "reedy._weight",
     "reedy._weight_to_boundary",
     "sts._free_rows",

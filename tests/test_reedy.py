@@ -4,6 +4,7 @@ import pytest
 
 from transcube.cube import compose
 from transcube.homsets import BudgetExceeded, count_homset, enumerate_homset
+from transcube.quotient import QuotientSet
 from transcube.reedy import (
     boundary_hom,
     boundary_hom_closed_form,
@@ -38,6 +39,29 @@ def test_boundary_hom_canonical_representatives():
         quot = boundary_hom(p, q, n)
         for found in canonical_pairs(quot, p, q):
             assert len(found) == 1
+
+
+def _boundary_hom_by_every_map(p: int, q: int, n: int) -> QuotientSet:
+    """The boundary hom quotient glued along every connecting map ``k: [m]
+    -> [m']`` with ``m <= m' < n``, not only the generating family:
+    ``(m, h o k, g)`` to ``(m', h, k o g)``."""
+    into, out_of = [enumerate_homset(p, m) for m in range(n)], [enumerate_homset(m, q) for m in range(n)]
+    quot = QuotientSet([(m, h, g) for m in range(n) for h in out_of[m] for g in into[m]])
+    for m in range(n):
+        for m2 in range(m, n):
+            for k in enumerate_homset(m, m2):
+                for h in out_of[m2]:
+                    for g in into[m]:
+                        quot.identify((m, compose(h, k), g), (m2, h, compose(k, g)))
+    return quot
+
+
+def test_boundary_hom_matches_the_quotient_by_every_map():
+    # same classes, members and order, hence the same representatives
+    for p in range(4):
+        for q in range(4):
+            for n in range(4):
+                assert boundary_hom(p, q, n).classes() == _boundary_hom_by_every_map(p, q, n).classes(), (p, q, n)
 
 
 def test_matching_emptiness():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from transcube import cube
@@ -385,6 +388,75 @@ def test_find_iso_backtracks_and_reports_no_iso():
     assert find_iso(forward, fork) is None
     assert find_iso(join, forward) is None
     assert find_iso(forward, _free_graph((3,), path)) is None
+
+
+def _relabelled(x: Sts, seed: int) -> tuple[Sts, dict[int, int]]:
+    """``x`` with its cube ids permuted within each level and every level
+    listed in a shuffled order, and the relabelling itself."""
+    rnd = random.Random(seed)
+    new: dict[int, int] = {}
+    for ids in x.cubes.values():
+        new.update(zip(ids, rnd.sample(ids, len(ids))))
+    cubes = {n: tuple(rnd.sample([new[c] for c in ids], len(ids))) for n, ids in x.cubes.items()}
+    face = {key: {new[c]: new[d] for c, d in table.items()} for key, table in x.face.items()}
+    endo = {n: {u: {new[c]: new[d] for c, d in table.items()} for u, table in by.items()} for n, by in x.endo.items()}
+    return Sts(x.max_dim, cubes, face, endo), new
+
+
+_RELABELLED = {
+    "representable(2)": lambda: representable(2),
+    "boundary(3)": lambda: boundary(3),
+    "representable(3)": lambda: representable(3),
+    "free boundary of [3]": lambda: free_sts(boundary_precubical(3)),
+}
+
+
+@pytest.mark.parametrize("build", _RELABELLED.values(), ids=_RELABELLED)
+def test_find_iso_finds_every_relabelling(build):
+    x = build()
+    for seed in range(20):
+        y, relabelling = _relabelled(x, seed)
+        StsMap(x, y, relabelling)  # raises unless equivariant
+        assert find_iso(x, y) is not None, seed
+
+
+def _with_trivial_endo_action(x: Sts, n: int) -> Sts:
+    """``x`` with every endomap of ``[n]`` acting as the identity on its ``n``-cubes."""
+    endo = {**x.endo, n: {u: {c: c for c in table} for u, table in x.endo[n].items()}}
+    return Sts(x.max_dim, x.cubes, x.face, endo)
+
+
+def _graph(edges: dict[int, tuple[int, int]]) -> Sts:
+    """The free set on a directed graph with vertices 0-3."""
+    faces = {(e, 1, alpha): ends[alpha] for e, ends in edges.items() for alpha in (0, 1)}
+    return free_sts(Precubical(1, {0: (0, 1, 2, 3), 1: tuple(edges)}, faces))
+
+
+_ISO_PAIRS = {
+    "boundary(2), relabelled": lambda: (boundary(2), _relabelled(boundary(2), 1)[0]),
+    "boundary(2), free square": lambda: (boundary(2), free_sts(boundary_precubical(2))),
+    "boundary(2), path with a shortcut": lambda: (boundary(2), _graph({4: (0, 1), 5: (1, 2), 6: (2, 3), 7: (0, 3)})),
+    "boundary(2), out-star": lambda: (boundary(2), _graph({4: (0, 1), 5: (0, 2), 6: (0, 3), 7: (1, 2)})),
+    "representable(2), relabelled": lambda: (representable(2), _relabelled(representable(2), 1)[0]),
+    "representable(2), free cube": lambda: (representable(2), free_sts(cube_precubical(2))),
+    "representable(2), trivial endomaps": lambda: (representable(2), _with_trivial_endo_action(representable(2), 2)),
+}
+
+
+@pytest.mark.parametrize("build", _ISO_PAIRS.values(), ids=_ISO_PAIRS)
+def test_find_iso_agrees_with_every_graded_bijection(build):
+    x, y = build()
+    levels = [n for n in x.cubes if x.cubes[n]]
+    accepted = []
+    for images in itertools.product(*(itertools.permutations(y.cubes[n]) for n in levels)):
+        mapping = {c: d for n, row in zip(levels, images) for c, d in zip(x.cubes[n], row)}
+        try:
+            accepted.append(StsMap(x, y, mapping).mapping)
+        except ValueError:
+            pass
+    iso = find_iso(x, y)
+    assert (iso is not None) == bool(accepted)
+    assert iso is None or iso.mapping in accepted
 
 
 def test_precubical_refuses_cubes_above_max_dim():
