@@ -18,65 +18,90 @@ The package is organized around a small set of exact, immutable values:
   realizations;
 - :mod:`transcube.suites` -- deterministic property-check suites, also
   exposed through the ``transcube`` command-line tool.
+
+``import transcube`` loads no submodule: each name of ``__all__`` is
+imported from its submodule on first use.
 """
 
-from .cube import (
-    INF,
-    CubeMap,
-    Vertex,
-    coface,
-    compose,
-    d1_vertex,
-    height,
-    identity,
-    max_min_collapse,
-    min_max_collapse,
-    symmetry,
-    validate_cotransverse,
-)
-from .homsets import (
-    BudgetExceeded,
-    Factorization,
-    check_factorization_final,
-    count_homset,
-    enumerate_cofaces,
-    enumerate_homset,
-    factorize,
-)
-from .topo import d1_point, d1_sym, d1_sym_witness, t_eval, t_eval_maxmin, t_eval_permutation
-from .paths import (
-    DPath,
-    SegmentPath,
-    induced_coface,
-    induced_path_map,
-    is_dpath,
-    is_natural,
-    moore_compose,
-    naturalize,
-    segment_path,
-    transport,
-)
-from .sts import (
-    Precubical,
-    Sts,
-    StsMap,
-    boundary,
-    certify_cellular,
-    free_sts,
-    pushout,
-    representable,
-    terminal_sts,
-    truncate,
-)
-from .reedy import (
-    CotransverseSetObj,
-    boundary_hom,
-    compare_latching_to_boundary,
-    latching,
-    matching_emptiness_check,
-    weighted_coend_eval,
-)
-from .geometry import PointPresentation, SkeletonDigraph, chain_distance_sample, dpath_length, vertex_distance
-from .suites import CheckSuiteReport, run_suite, suite_names
+from importlib import import_module
+
+#: The exported names, by the submodule that defines them.
+_EXPORTS = {
+    "cube": (
+        "INF",
+        "CubeMap",
+        "InputError",
+        "Vertex",
+        "coface",
+        "compose",
+        "d1_vertex",
+        "height",
+        "identity",
+        "max_min_collapse",
+        "min_max_collapse",
+        "symmetry",
+        "validate_cotransverse",
+    ),
+    "homsets": (
+        "BudgetExceeded",
+        "Factorization",
+        "check_factorization_final",
+        "count_homset",
+        "enumerate_cofaces",
+        "enumerate_homset",
+        "factorize",
+    ),
+    "topo": ("d1_point", "d1_sym", "d1_sym_witness", "t_eval", "t_eval_maxmin", "t_eval_permutation"),
+    "paths": (
+        "DPath",
+        "SegmentPath",
+        "induced_coface",
+        "induced_path_map",
+        "is_dpath",
+        "is_natural",
+        "moore_compose",
+        "naturalize",
+        "segment_path",
+        "transport",
+    ),
+    "sts": (
+        "Precubical",
+        "Sts",
+        "StsMap",
+        "boundary",
+        "certify_cellular",
+        "free_sts",
+        "pushout",
+        "representable",
+        "terminal_sts",
+        "truncate",
+    ),
+    "reedy": (
+        "CotransverseSetObj",
+        "boundary_hom",
+        "compare_latching_to_boundary",
+        "latching",
+        "matching_emptiness_check",
+        "weighted_coend_eval",
+    ),
+    "geometry": ("PointPresentation", "SkeletonDigraph", "chain_distance_sample", "dpath_length", "vertex_distance"),
+    "suites": ("CheckSuiteReport", "run_suite", "suite_names"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the submodule behind an exported name on first use (PEP 562),
+    so that ``import transcube`` loads no submodule."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

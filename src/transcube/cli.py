@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget guard.
 The cell budget of every materialized table can be overridden with the
 TRANSCUBE_BUDGET environment variable or per invocation with ``--budget``.
+
+Each command imports the modules it uses when it runs, so a process pays
+only for its own command: ``--help``, ``factor`` or ``enumerate
+--count-only`` load neither the suites nor numpy.
 """
 
 from __future__ import annotations
@@ -10,16 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .cube import INF, CubeMap, compose
-from .formats import dpath_to_dict, parse_dpath, parse_precubical, parse_script
-from .geometry import PointPresentation, chain_distance_sample, vertex_distance
-from .homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
-from .paths import DPath, is_dpath, is_natural, naturalize, transport
-from .reedy import boundary_hom, boundary_hom_closed_form, compare_latching_to_boundary, constant_obj, hom_obj
-from .sts import certify_cellular, free_sts
-from .suites import run_suite, suite_names
-from .topo import d1_point, d1_sym, d1_sym_witness, format_point, parse_point, t_eval
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -38,14 +32,27 @@ def _print(args: argparse.Namespace, text_value: str, json_value) -> None:
 
 
 def _dist_str(d) -> str:
-    return "inf" if d is INF else str(d)
+    return "inf" if d == float("inf") else str(d)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    maps = enumerate_homset(args.dom, args.cod)
+    from math import comb
+
+    from .cube import InputError
+    from .homsets import charge, count_homset, enumerate_homset
+
+    if args.dom < 0 or args.cod < 0:
+        raise InputError("dimensions must be nonnegative")
     if args.count_only:
-        print(len(maps))
+        # Counted without building a map, and charged as the listing is: its
+        # coface composites first, then the tables of every map.
+        what = "enumerate_homset(%s, %s)"
+        charge(comb(args.cod, args.dom) << args.cod, what, args.dom, args.cod)
+        count = count_homset(args.dom, args.cod)
+        charge(count << args.dom, what, args.dom, args.cod)
+        print(count)
         return 0
+    maps = enumerate_homset(args.dom, args.cod)
     if args.format == "json":
         print(json.dumps([f.literal() for f in maps]))
     else:
@@ -55,6 +62,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    from .cube import CubeMap
+    from .homsets import factorize
+
     fac = factorize(CubeMap.from_literal(args.map))
     _print(
         args,
@@ -65,17 +75,26 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    from .cube import CubeMap, InputError, compose
+
     maps = [CubeMap.from_literal(lit) for lit in args.maps]
     result = maps[0]
     for f in maps[1:]:  # written left to right: first literal is outermost
+        if f.cod_dim != result.dom_dim:
+            raise InputError(f"cannot compose: inner map lands in [{f.cod_dim}], outer starts at [{result.dom_dim}]")
         result = compose(result, f)
     _print(args, result.literal(), {"map": result.literal()})
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .cube import CubeMap, InputError
+    from .topo import format_point, parse_point, t_eval
+
     f = CubeMap.from_literal(args.map)
     x = parse_point(args.point)
+    if len(x) != f.dom_dim:
+        raise InputError(f"point of dimension {len(x)} fed to map from [{f.dom_dim}]")
     y = t_eval(f, x)
     _print(args, format_point(y), {"point": format_point(y)})
     return 0
@@ -91,12 +110,19 @@ def _load_json(path: str):
             return json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as err:  # a missing file, a directory, no permission: a usage error
         raise CliError(str(err)) from err
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise CliError(str(err)) from err
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    from .cube import InputError
+    from .topo import d1_point, d1_sym, d1_sym_witness, format_point, parse_point
+
     if args.points:
         a = parse_point(args.points[0])
         b = parse_point(args.points[1])
+        if len(a) != len(b):
+            raise InputError(f"dimension mismatch: {len(a)} != {len(b)}")
         d = d1_point(a, b)
         sym = d1_sym(a, b)
         witness = d1_sym_witness(a, b)
@@ -108,6 +134,10 @@ def cmd_dist(args: argparse.Namespace) -> int:
         return 0
     if args.input is None:
         raise CliError("dist needs either --points or --input")
+    from .formats import parse_precubical
+    from .geometry import chain_distance_sample, vertex_distance
+    from .sts import free_sts
+
     sts = free_sts(parse_precubical(_load_json(args.input)))
     if args.chain:
         if args.p is None or args.q is None:
@@ -129,18 +159,26 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_presentation(text: str) -> PointPresentation:
+def _parse_presentation(text: str):
+    from .cube import InputError
+    from .geometry import PointPresentation
+    from .topo import parse_point
+
     cube, _, coords = text.partition(",")
     try:
         cube_id = int(cube)
     except ValueError:
-        raise CliError(
+        raise InputError(
             f"presentation {text!r} does not start with a cube id, as in \"cube,x1,x2,...\""
         ) from None
     return PointPresentation(cube_id, parse_point(coords))
 
 
 def cmd_dpath(args: argparse.Namespace) -> int:
+    from .cube import CubeMap, InputError
+    from .formats import dpath_to_dict, parse_dpath
+    from .paths import DPath, is_dpath, is_natural, naturalize, transport
+
     path = parse_dpath(_load_json(args.input))
     if args.action == "verify":
         reports = [(cube, is_dpath(seg), is_natural(seg)) for cube, seg in path.legs]
@@ -159,11 +197,17 @@ def cmd_dpath(args: argparse.Namespace) -> int:
         )
         return 0 if ok else CHECK_FAILURE
     if args.action == "naturalize":
+        for _, seg in path.legs:
+            if not (report := is_dpath(seg)):
+                raise InputError(f"not a directed path: {report.reason}")
         out = DPath(tuple((cube, naturalize(seg)) for cube, seg in path.legs))
     elif args.action == "transport":
         if args.map is None:
             raise CliError("transport needs --map")
         f = CubeMap.from_literal(args.map)
+        for _, seg in path.legs:
+            if seg.dim != f.dom_dim:
+                raise InputError(f"path of dimension {seg.dim} fed to map from [{f.dom_dim}]")
         out = DPath(tuple((cube, transport(f, seg)) for cube, seg in path.legs))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown dpath action {args.action}")
@@ -172,6 +216,9 @@ def cmd_dpath(args: argparse.Namespace) -> int:
 
 
 def cmd_free(args: argparse.Namespace) -> int:
+    from .formats import parse_precubical
+    from .sts import free_sts
+
     k = parse_precubical(data := _load_json(args.input))
     if args.max_dim is not None and args.max_dim != k.max_dim:
         k = parse_precubical({**data, "max_dim": args.max_dim})
@@ -186,6 +233,9 @@ def cmd_free(args: argparse.Namespace) -> int:
 
 
 def cmd_cells(args: argparse.Namespace) -> int:
+    from .formats import parse_script
+    from .sts import certify_cellular
+
     script = parse_script(_load_json(args.script))
     sts, cert, _ = certify_cellular(script, max_dim=max((e["dim"] for e in script), default=0))
     _print(
@@ -203,6 +253,8 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 
 def cmd_reedy(args: argparse.Namespace) -> int:
+    from .reedy import boundary_hom, boundary_hom_closed_form, compare_latching_to_boundary, constant_obj, hom_obj
+
     top = args.max_dim
     rows = []
     ok = True
@@ -231,6 +283,8 @@ def cmd_reedy(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .suites import run_suite, suite_names
+
     names = suite_names() if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
@@ -241,6 +295,20 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(report.to_text())
         failed = failed or not report.ok
     return CHECK_FAILURE if failed else 0
+
+
+class _SuiteChoices:
+    """The choices of ``check``: every suite name, then ``all``.  Read from
+    :mod:`transcube.suites` when a suite name is parsed or listed, so that
+    no other command imports it."""
+
+    def __iter__(self):
+        from .suites import suite_names
+
+        return iter(suite_names() + ["all"])
+
+    def __contains__(self, name: object) -> bool:
+        return name in iter(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reedy)
 
     p = sub.add_parser("check", help="run a property-check suite")
-    p.add_argument("suite", choices=suite_names() + ["all"])
+    # A metavar keeps add_argument from listing the choices; help and errors
+    # list them once it is reset.
+    p.add_argument("suite", choices=_SuiteChoices(), metavar="SUITE").metavar = None
     p.add_argument("--max-dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=int, default=None)
@@ -314,8 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Only :class:`transcube.cube.InputError`,
+    :class:`CliError` and :class:`transcube.homsets.BudgetExceeded` are
+    reported as exit codes; any other error is a bug and propagates."""
+    args = build_parser().parse_args(argv)
+    from .cube import InputError
+    from .homsets import BudgetExceeded, set_cell_budget
+
     if args.budget is not None:
         set_cell_budget(args.budget)
     try:
@@ -323,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as err:
         print(f"budget: {err}", file=sys.stderr)
         return BUDGET_ERROR
-    except (CliError, ValueError) as err:
+    except (CliError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     finally:

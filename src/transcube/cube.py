@@ -25,6 +25,12 @@ from typing import Iterator, NamedTuple
 INF = float("inf")
 
 
+class InputError(ValueError):
+    """Malformed or invalid input, refused where it enters the package:
+    the parsers and the validating constructors of user data.  The CLI
+    reports it as a usage error; any other ``ValueError`` is a bug."""
+
+
 def bit_height(bits: int) -> int:
     """Number of coordinates equal to 1 in a vertex mask."""
     return bits.bit_count()
@@ -360,13 +366,17 @@ class CubeMap(Frozen):
 
     @classmethod
     def from_literal(cls, text: str) -> CubeMap:
+        """Parse ``"m>n:a0,a1,..."``; a malformed literal or an invalid
+        table raises :class:`InputError`."""
         match = _LITERAL_RE.match(text)
         if match is None:
-            raise ValueError(f"malformed map literal: {text!r}")
+            raise InputError(f"malformed map literal: {text!r}")
         m, n = int(match.group(1)), int(match.group(2))
         body = match.group(3).strip()
-        entries = tuple(int(tok) for tok in body.split(",")) if body else ()
-        return cls(m, n, entries)
+        try:
+            return cls(m, n, tuple(int(tok) for tok in body.split(",")) if body else ())
+        except ValueError as err:
+            raise InputError(str(err)) from None
 
     def __str__(self) -> str:
         return self.literal()

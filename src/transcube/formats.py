@@ -7,6 +7,8 @@ Build scripts: ordered list of ``{"dim": n, "attach": {"<boundary id>":
 skeleton id, ...}}``.
 Paths: ``{"legs": [{"cube": id, "dim": n, "breakpoints":
 [["t", "x1", ...], ...]}, ...]}``.
+
+Every refusal of malformed data raises :class:`transcube.cube.InputError`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+from .cube import InputError
 from .homsets import charge
 from .paths import DPath, segment_path
 from .sts import Precubical
@@ -21,17 +24,19 @@ from .sts import Precubical
 
 def _rat(value: Any) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"rational expected, got {value!r}")
+        raise InputError(f"rational expected, got {value!r}")
     try:
         return Fraction(str(value))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise InputError(f"zero denominator in {value!r}") from None
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def _of(kind: type, value: Any, what: str) -> Any:
     """``value`` when it has the container type ``kind`` (dict or list)."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+        raise InputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -42,7 +47,7 @@ _NOT_INT = {bool: "a boolean", type(None): "null", float: "a float", list: "an a
 def _key(table: Any, key: str, what: str) -> Any:
     """``table[key]`` of the JSON object ``table``; a missing key is named."""
     if key not in _of(dict, table, what):
-        raise ValueError(f"{what} has no {key!r} key")
+        raise InputError(f"{what} has no {key!r} key")
     return table[key]
 
 
@@ -51,8 +56,11 @@ def _int(value: Any, what: str) -> int:
     objects are refused; strings (object keys) are parsed."""
     kind = _NOT_INT.get(type(value))
     if kind:
-        raise ValueError(f"integer expected for {what}, got {kind}")
-    return int(value)
+        raise InputError(f"integer expected for {what}, got {kind}")
+    try:
+        return int(value)
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def parse_precubical(data: dict) -> Precubical:
@@ -68,11 +76,11 @@ def parse_precubical(data: dict) -> Precubical:
             try:
                 i, alpha = int(i), int(alpha)
             except ValueError:
-                raise ValueError(f"face key {key!r} is not of the form 'i,alpha'") from None
+                raise InputError(f"face key {key!r} is not of the form 'i,alpha'") from None
             faces[(_int(cid, "a cube id"), i, alpha)] = _int(target, "a face target")
     if len(set().union(*cubes.values())) != sum(map(len, cubes.values())):
         ids = [c for level in cubes.values() for c in level]
-        raise ValueError(f"cube id {next(c for c in ids if ids.count(c) > 1)} is listed twice")
+        raise InputError(f"cube id {next(c for c in ids if ids.count(c) > 1)} is listed twice")
     charge(max_dim + 1, "the levels of a precubical set of dimension %s", max_dim)
     for n in range(max_dim + 1):
         cubes.setdefault(n, ())
@@ -97,7 +105,7 @@ def parse_dpath(data: dict) -> DPath:
         pairs = []
         for row in _of(list, _key(leg, "breakpoints", "a leg"), "breakpoints"):
             if not _of(list, row, "a breakpoint"):
-                raise ValueError("a breakpoint is empty; it needs a time and coordinates")
+                raise InputError("a breakpoint is empty; it needs a time and coordinates")
             t, *coords = row
             pairs.append((_rat(t), tuple(_rat(c) for c in coords)))
         legs.append((cube, segment_path(dim, pairs)))

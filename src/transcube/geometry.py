@@ -32,7 +32,7 @@ from numbers import Rational
 from operator import le
 from typing import NamedTuple
 
-from .cube import INF, Frozen
+from .cube import INF, Frozen, InputError
 from .paths import DPath, naturality_certificate
 from .sts import Sts
 
@@ -80,7 +80,7 @@ def vertex_distance(sts: Sts, a: int, b: int) -> int | float:
     1-skeleton; infinite when no directed path exists."""
     graph = SkeletonDigraph.of(sts)
     if a not in graph.nodes or b not in graph.nodes:
-        raise ValueError("unknown vertex id")
+        raise InputError("unknown vertex id")
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v in graph.arcs:
         adj.setdefault(u, []).append((v, 1))
@@ -94,9 +94,9 @@ class PointPresentation(Frozen):
 
     def __init__(self, cube_id: int, local: tuple[Fraction, ...]) -> None:
         if not all(isinstance(c, Rational) for c in local):
-            raise ValueError("local coordinates must be exact rationals (int or Fraction)")
+            raise InputError("local coordinates must be exact rationals (int or Fraction)")
         if any(not 0 <= c <= 1 for c in local):
-            raise ValueError("local coordinates must lie in [0, 1]")
+            raise InputError("local coordinates must lie in [0, 1]")
         object.__setattr__(self, "cube_id", cube_id)
         object.__setattr__(self, "local", local)
 
@@ -138,12 +138,12 @@ def chain_distance_sample(
     is reduced and the bound is flagged as exhausted.
     """
     if refinement < 0:
-        raise ValueError(f"refinement must be nonnegative, got {refinement}")
+        raise InputError(f"refinement must be nonnegative, got {refinement}")
     for pres in (p, q):
         if pres.cube_id not in sts.dim_of:
-            raise ValueError(f"no cube {pres.cube_id} in this set")
+            raise InputError(f"no cube {pres.cube_id} in this set")
         if len(pres.local) != sts.dim_of[pres.cube_id]:
-            raise ValueError("presentation does not match its cube dimension")
+            raise InputError("presentation does not match its cube dimension")
 
     exhausted = False
     while refinement > 0:

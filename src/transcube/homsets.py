@@ -11,7 +11,10 @@ bottom vertex fixes the height of every level (covering pairs go to
 covering pairs, so heights shift uniformly), and the image of a vertex must
 cover the images of all vertices it covers.  The search is depth-first and
 the result is sorted lexicographically on tables, so outputs are stable
-across runs.
+across runs.  The candidate images of a vertex depend only on the union of
+the images below it and the height still missing, and are memoised on that
+pair.  One search serves both the listing and the count, which builds no
+map.
 """
 
 from __future__ import annotations
@@ -93,76 +96,92 @@ def charged_cache(maxsize: int):
     return wrap
 
 
-@charged_cache(HOMSET_CACHE_MAXSIZE)
-def enumerate_homset(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
-    """All cotransverse maps ``[m] -> [n]`` in lexicographic table order.
-
-    Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the tables
-    would exceed the configured cell budget; the guard keeps desk scale
-    exhaustive searches from blowing up past dimension 5 or so.  The coface
-    composites alone fill ``C(n, m) << n`` cells, so a cold enumeration
-    charges that first, then the tables found so far each time their count
-    doubles (a refused search holds at most twice the budget), and the gate
-    charges the exact total.
-    """
+def _search(m: int, n: int, what: str, found: list[tuple[int, ...]] | None = None) -> int:
+    """The one search for the cotransverse maps ``[m] -> [n]``, as the module
+    docstring describes it: returns how many there are and, when ``found``
+    is a list, appends the table of each.  Charges ``C(n, m) << n`` cells
+    first (the coface composites alone fill that many), then the maps found
+    so far each time their count doubles, so a refused search holds at most
+    twice the budget."""
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
     if m > n:
-        return (), 0
-    what = f"enumerate_homset({m}, {n})"
+        return 0
     charge(comb(n, m) << n, what)
-
-    # vertices by (height, mask); images are assigned in this order
     order = sorted(range(1 << m), key=lambda x: (bit_height(x), x))
-    covers_below = [
-        [x & ~(1 << i) for i in range(m) if (x >> i) & 1] for x in range(1 << m)
-    ]
-
-    tables: list[tuple[int, ...]] = []
+    below = [[x & ~(1 << i) for i in range(m) if (x >> i) & 1] for x in order]
+    rise = [bit_height(x) for x in order]
+    last = len(order) - 1
     image = [0] * (1 << m)
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
+    count = 0
 
-    def candidates(x: int) -> list[int]:
-        # The image must cover the image of every lower cover of x.  All of
-        # those lie one level down, so any valid image is their union plus
-        # enough fresh bits to land exactly one level above it.
-        below = covers_below[x]
-        union = 0
-        for y in below:
-            union |= image[y]
-        target = bit_height(image[0]) + bit_height(x)
-        missing = target - bit_height(union)
-        if missing < 0:
-            return []
-        if missing == 0:
-            return [union]
-        free = [i for i in range(n) if not (union >> i) & 1]
-        cands = []
-        for extra in combinations(free, missing):
-            w = union
-            for i in extra:
-                w |= 1 << i
-            cands.append(w)
-        return sorted(cands)
+    def candidates(union: int, missing: int) -> tuple[int, ...]:
+        # Every lower cover lies one level down, so a valid image is the
+        # union of their images plus enough fresh bits to land one level
+        # above it: ``missing`` of them.
+        free = [1 << i for i in range(n) if not (union >> i) & 1]
+        cands = tuple(sorted(union | sum(extra) for extra in combinations(free, missing))) if missing >= 0 else ()
+        memo[union, missing] = cands
+        return cands
 
-    def dfs(k: int) -> None:
-        if k == len(order):
-            tables.append(tuple(image))
-            if len(tables) & (len(tables) - 1) == 0:
-                charge(len(tables) << m, what)
-            return
+    def leaf() -> None:
+        nonlocal count
+        count += 1
+        if found is not None:
+            found.append(tuple(image))
+        if count & (count - 1) == 0:
+            charge(count << m, what)
+
+    def dfs(k: int, base: int) -> None:
         x = order[k]
-        for w in candidates(x):
+        union = 0
+        for y in below[k]:
+            union |= image[y]
+        missing = base + rise[k] - union.bit_count()
+        cands = memo.get((union, missing))
+        for w in candidates(union, missing) if cands is None else cands:
             image[x] = w
-            dfs(k + 1)
+            if k == last:
+                leaf()
+            else:
+                dfs(k + 1, base)
 
     # Bottom vertex: any image low enough that m more height levels fit above.
     for bottom in range(1 << n):
-        if bit_height(bottom) <= n - m:
+        base = bottom.bit_count()
+        if base <= n - m:
             image[0] = bottom
-            dfs(1)
+            if last:
+                dfs(1, base)
+            else:
+                leaf()
+    return count
 
+
+@charged_cache(HOMSET_CACHE_MAXSIZE)
+def enumerate_homset(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
+    """All cotransverse maps ``[m] -> [n]`` in lexicographic table order,
+    each built and validated by :class:`CubeMap`.
+
+    Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the tables
+    would exceed the configured cell budget; the guard keeps desk scale
+    exhaustive searches from blowing up past dimension 5 or so.  A cold
+    enumeration charges as :func:`_search` does, and the gate charges the
+    exact total, ``len << m`` cells.
+    """
+    tables: list[tuple[int, ...]] = []
+    _search(m, n, f"enumerate_homset({m}, {n})", tables)
     tables.sort()
     return tuple(interned(m, n, t) for t in tables), len(tables) << m
+
+
+@charged_cache(HOMSET_CACHE_MAXSIZE)
+def count_endomaps(m: int) -> tuple[int, int]:
+    """``|End([m])|``, found by the search of :func:`enumerate_homset` without
+    building a map, and charged as ``enumerate_homset(m, m)`` is."""
+    count = _search(m, m, f"count_endomaps({m})")
+    return count, count << m
 
 
 def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
@@ -224,12 +243,11 @@ def is_coface(f: CubeMap) -> bool:
 
 def count_homset(m: int, n: int) -> int:
     """Size of the hom-set ``[m] -> [n]`` by the closed form
-    ``|endos of [m]| * C(n, m) * 2^(n-m)``: pick the coface part, then the
-    endomap part of the unique factorization."""
+    ``|End([m])| * C(n, m) * 2^(n-m)``: pick the coface part, then the
+    endomap part of the unique factorization.  Builds no map."""
     if m > n:
         return 0
-    endos = len(enumerate_homset(m, m))
-    return endos * comb(n, m) * (1 << (n - m))
+    return count_endomaps(m) * comb(n, m) << (n - m)
 
 
 class Factorization(NamedTuple):

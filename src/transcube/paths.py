@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .cube import CubeMap, Frozen, Vertex, bits_leq, compose
+from .cube import CubeMap, Frozen, InputError, Vertex, bits_leq, compose
 from .homsets import coface_part, factorize
 from .topo import point_height, t_eval
 
@@ -42,15 +42,15 @@ class SegmentPath(Frozen):
 
     def __init__(self, dim: int, breakpoints: tuple[Breakpoint, ...]) -> None:
         if len(breakpoints) < 2:
-            raise ValueError("a path needs at least two breakpoints")
+            raise InputError("a path needs at least two breakpoints")
         for t, pt in breakpoints:
             if len(pt) != dim:
-                raise ValueError("breakpoint dimension mismatch")
+                raise InputError("breakpoint dimension mismatch")
             if any(not 0 <= c <= 1 for c in pt):
-                raise ValueError("coordinates must lie in [0, 1]")
+                raise InputError("coordinates must lie in [0, 1]")
         times = [t for t, _ in breakpoints]
         if any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
+            raise InputError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "breakpoints", breakpoints)
 
@@ -205,10 +205,10 @@ class DPath(Frozen):
 
     def __init__(self, legs: tuple[tuple[int, SegmentPath], ...]) -> None:
         if not legs:
-            raise ValueError("a path needs at least one leg")
+            raise InputError("a path needs at least one leg")
         for _, seg in legs:
             if seg.breakpoints[0][0] != 0:
-                raise ValueError("each leg must start its clock at 0")
+                raise InputError("each leg must start its clock at 0")
         object.__setattr__(self, "legs", legs)
 
     @property

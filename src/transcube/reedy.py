@@ -54,7 +54,7 @@ def boundary_hom(p: int, q: int, n: int) -> QuotientSet:
     ``(m, h o k, g)`` glues to ``(m', h, k o g)`` for ``k: [m] -> [m']``.
     """
     top = min(n - 1, q)  # no map into [q] comes from a level above it
-    return weighted_coend_eval(hom_obj(p, top), _maps_into(q, top))
+    return weighted_coend_eval(_maps_out_of(p, top), _maps_into(q, top))
 
 
 def boundary_hom_closed_form(p: int, q: int, n: int) -> int:
@@ -176,7 +176,16 @@ def _maps_into(q: int, top: int) -> tuple[Sts, int]:
     graded = [enumerate_homset(m, q) for m in range(top + 1)]
     face, endo = action_tables(graded, lambda u, h: compose(h, u), contravariant=True)
     maps = Sts(top, dict(enumerate(graded)), face, endo)
-    return maps, _cells(maps)
+    return maps, _cells(maps.cubes, face, endo)
+
+
+@charged_cache(BUILD_CACHE_MAXSIZE)
+def _maps_out_of(p: int, top: int) -> tuple[CotransverseSetObj, int]:
+    """:func:`hom_obj` ``(p, top)``, built once: the maps out of ``[p]`` into
+    levels up to ``[top]``, acting by postcomposition.  Its readers never
+    change it."""
+    maps = hom_obj(p, top)
+    return maps, max(top + 1, _cells(maps.values, maps.coface_maps, maps.endo_maps))
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
@@ -185,7 +194,7 @@ def _weight(n: int) -> tuple[Sts, int]:
     quots = [boundary_hom(p, n, n) for p in range(n)]
     graded = [q.representatives() for q in quots] + [[]]
     weight = _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
-    return weight, _cells(weight)
+    return weight, _cells(weight.cubes, weight.face, weight.endo)
 
 
 def boundary_weight(n: int) -> Sts:
@@ -219,7 +228,8 @@ def _weight_to_boundary(n: int) -> tuple[tuple[Sts, Sts, dict[int, int]], int]:
     weight, bnd = _weight(n), boundary(n)
     cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
     to_boundary = {c: cube_index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
-    return (weight, bnd, to_boundary), max(_cells(weight), _cells(bnd))
+    cells = max(_cells(weight.cubes, weight.face, weight.endo), _cells(bnd.cubes, bnd.face, bnd.endo))
+    return (weight, bnd, to_boundary), cells
 
 
 class LatchingComparison(NamedTuple):

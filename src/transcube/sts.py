@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .cube import CubeMap, Frozen, coface, compose, identity
+from .cube import CubeMap, Frozen, InputError, coface, compose, identity
 from .homsets import (
     charge,
     charged_cache,
@@ -209,14 +209,16 @@ def empty_sts(max_dim: int) -> Sts:
 BUILD_CACHE_MAXSIZE = 64
 
 
-def _cells(sts: Sts) -> int:
-    """The largest charge a build of ``sts`` makes: its generating action
-    tables (:func:`action_tables`), the hom-set of one level (``len << m``
-    cells, as :func:`enumerate_homset` charges) or the endomaps of one
-    level (``|End([k])| << k``, as :func:`generating_family` charges)."""
-    entries = sum(map(len, sts.face.values())) + sum(len(t) for by in sts.endo.values() for t in by.values())
-    levels = [len(ids) << m for m, ids in sts.cubes.items()] + [len(by) << k for k, by in sts.endo.items()]
-    return max([entries] + levels)
+def _cells(levels: Mapping[int, Sequence], face: Mapping, endo: Mapping) -> int:
+    """The largest charge a build of the generating tables ``face`` and
+    ``endo`` over ``levels`` (the layout of :func:`family_table`, either
+    variance) makes: the tables (:func:`action_tables`), the hom-set of one
+    level (``len << m`` cells, as :func:`enumerate_homset` charges) or the
+    endomaps of one level (``|End([k])| << k``, as :func:`generating_family`
+    charges)."""
+    entries = sum(map(len, face.values())) + sum(len(t) for by in endo.values() for t in by.values())
+    sizes = [len(ids) << m for m, ids in levels.items()] + [len(by) << k for k, by in endo.items()]
+    return max([entries] + sizes)
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
@@ -224,7 +226,7 @@ def _hom_sts(n: int, top: int, below: int) -> tuple[Sts, int]:
     """Levels ``m < below`` of the representable of ``[n]`` up to ``[top]``."""
     graded = [list(enumerate_homset(m, n)) if m < below else [] for m in range(top + 1)]
     sts = _build(graded, lambda u, g: compose(g, u))
-    return sts, _cells(sts)
+    return sts, _cells(sts.cubes, sts.face, sts.endo)
 
 
 def _new(sts: Sts) -> Sts:
@@ -272,21 +274,21 @@ class StsMap(Frozen):
     def __init__(self, src: Sts, dst: Sts, mapping: dict[int, int]) -> None:
         for c, n in src.dim_of.items():
             if c not in mapping:
-                raise ValueError(f"mapping misses cube {c}")
+                raise InputError(f"mapping misses cube {c}")
             if mapping[c] not in dst.dim_of:
-                raise ValueError(f"mapping sends cube {c} to {mapping[c]}, which is not a cube of the target")
+                raise InputError(f"mapping sends cube {c} to {mapping[c]}, which is not a cube of the target")
             if n != dst.dim_of[mapping[c]]:
-                raise ValueError(f"mapping does not preserve dimension at cube {c}")
+                raise InputError(f"mapping does not preserve dimension at cube {c}")
         for c in mapping:
             if c not in src.dim_of:
-                raise ValueError(f"mapping names cube {c}, which is not a cube of the source")
+                raise InputError(f"mapping names cube {c}, which is not a cube of the source")
         # A source cube above dst.max_dim already failed the dimension check.
         for key, u in generating_family(min(src.max_dim, dst.max_dim)):
             dst_table = family_table(dst.face, dst.endo, key, u)
             for c, uc in family_table(src.face, src.endo, key, u).items():
                 if dst_table[mapping[c]] != mapping[uc]:
                     kind = "endomap" if key is None else "face"
-                    raise ValueError(f"mapping not equivariant at {kind} of cube {c}")
+                    raise InputError(f"mapping not equivariant at {kind} of cube {c}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "mapping", mapping)
@@ -347,23 +349,23 @@ class Precubical(Frozen):
         object.__setattr__(self, "faces", faces)
         for n, ids in cubes.items():
             if ids and not 0 <= n <= max_dim:
-                raise ValueError(f"cube {ids[0]} is in level {n}, but max_dim is {max_dim}")
+                raise InputError(f"cube {ids[0]} is in level {n}, but max_dim is {max_dim}")
         dim_of = self.dim_of
         for (c, i, alpha), d in self.faces.items():
             if c not in dim_of:
-                raise ValueError(f"face ({i}, {alpha}) given for {c}, which is not a cube")
+                raise InputError(f"face ({i}, {alpha}) given for {c}, which is not a cube")
             n = dim_of[c]
             if not (1 <= i <= n and alpha in (0, 1)):
-                raise ValueError(f"face index ({i}, {alpha}) invalid for {n}-cube {c}")
+                raise InputError(f"face index ({i}, {alpha}) invalid for {n}-cube {c}")
             if d not in dim_of:
-                raise ValueError(f"face ({i}, {alpha}) of cube {c} is {d}, which is not a cube")
+                raise InputError(f"face ({i}, {alpha}) of cube {c} is {d}, which is not a cube")
             if dim_of[d] != n - 1:
-                raise ValueError(f"face of {n}-cube {c} must have dimension {n - 1}")
+                raise InputError(f"face of {n}-cube {c} must have dimension {n - 1}")
         for c, n in dim_of.items():
             for i in range(1, n + 1):
                 for alpha in (0, 1):
                     if (c, i, alpha) not in self.faces:
-                        raise ValueError(f"{n}-cube {c} lacks face ({i}, {alpha})")
+                        raise InputError(f"{n}-cube {c} lacks face ({i}, {alpha})")
         for n in range(2, self.max_dim + 1):
             for c in self.cubes.get(n, ()):
                 for j in range(1, n + 1):
@@ -375,7 +377,7 @@ class Precubical(Frozen):
                                 left = self.faces[(self.faces[(c, j, beta)], i, alpha)]
                                 right = self.faces[(self.faces[(c, i, alpha)], j - 1, beta)]
                                 if left != right:
-                                    raise ValueError(
+                                    raise InputError(
                                         f"coface relations fail at cube {c} ({i},{alpha}),({j},{beta})"
                                     )
 
@@ -555,9 +557,9 @@ def certify_cellular(
     for entry in script:
         n = int(entry["dim"])
         if n < prev_dim:
-            raise ValueError("script entries must have nondecreasing dimension")
+            raise InputError("script entries must have nondecreasing dimension")
         if n > max_dim:
-            raise ValueError(f"cell dimension {n} above the ambient bound {max_dim}")
+            raise InputError(f"cell dimension {n} above the ambient bound {max_dim}")
         prev_dim = n
         if n != cell_dim:  # the entries of one dimension share the cell and its boundary
             cell_dim, cell, bnd = n, representable(n, max_dim), boundary(n, max_dim)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .cube import INF, CubeMap
+from .cube import INF, CubeMap, InputError
 from .homsets import factorize
 
 Coord = TypeVar("Coord", Fraction, int)
@@ -170,10 +170,12 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     try:
         coords = tuple(Fraction(tok.strip()) for tok in text.split(","))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in point {text!r}") from None
+        raise InputError(f"zero denominator in point {text!r}") from None
+    except ValueError as err:
+        raise InputError(str(err)) from None
     for c in coords:
         if not 0 <= c <= 1:
-            raise ValueError(f"coordinate {c} outside [0, 1]")
+            raise InputError(f"coordinate {c} outside [0, 1]")
     return coords
 
 

@@ -212,6 +212,19 @@ def test_boundary_hom_charges_warm_and_cold_alike():
     assert _smallest_budget(lambda: boundary_hom(2, 3, 3), reedy._maps_into.cache_clear) == warm
 
 
+@pytest.mark.parametrize("p, q, n", [(0, 0, 0), (2, 0, 1), (1, 0, 1), (0, 2, 3), (2, 3, 3), (3, 3, 3)])
+def test_boundary_hom_reads_the_maps_out_of_p_warm_and_cold_alike(p, q, n):
+    def cold():
+        reedy._maps_out_of.cache_clear()
+        reedy._maps_into.cache_clear()
+
+    top = min(n - 1, q)
+    for call in (lambda: reedy._maps_out_of(p, top), lambda: boundary_hom(p, q, n)):
+        warm = _smallest_budget(call, lambda: None)
+        assert _smallest_budget(call, reedy._maps_out_of.cache_clear) == warm
+        assert _smallest_budget(call, cold) == warm
+
+
 def test_free_sts_charges_as_its_tables():
     # the rows of a level are never charged above the tables built from them
     k = cube_precubical(3)
@@ -228,6 +241,7 @@ EXPECTED_CACHES = {
     "cube._preimages_of_one",
     "cube.interned",
     "homsets.coface_part",
+    "homsets.count_endomaps",
     "homsets.decompose_coface",
     "homsets.enumerate_cofaces",
     "homsets.enumerate_homset",
@@ -235,6 +249,7 @@ EXPECTED_CACHES = {
     "homsets.generating_family",
     "paths._induced_maps",
     "reedy._maps_into",
+    "reedy._maps_out_of",
     "reedy._weight",
     "reedy._weight_to_boundary",
     "sts._free_rows",

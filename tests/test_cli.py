@@ -377,6 +377,11 @@ def test_cli_starts_without_numpy():
     proc = _child("-X", "importtime", "-m", "transcube.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+    assert "numpy" not in _imported(proc.stderr)
+
+    # the suites load without numpy too; only the batch suites need it
+    proc = _child("-X", "importtime", "-m", "transcube.cli", "check", "t-oracle", "--max-dim", "1")
+    assert proc.returncode == 0, proc.stderr
     modules = _imported(proc.stderr)
     assert "transcube.suites" in modules and "numpy" not in modules
 
@@ -395,6 +400,11 @@ def test_cli_starts_without_dataclasses():
     assert proc.stdout == "[]\n"
 
     proc = _child("-X", "importtime", "-m", "transcube.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported(proc.stderr)
+    assert not {"dataclasses", "inspect"} & modules
+
+    proc = _child("-X", "importtime", "-m", "transcube.cli", "check", "t-oracle", "--max-dim", "1")
     assert proc.returncode == 0, proc.stderr
     modules = _imported(proc.stderr)
     assert "transcube.suites" in modules
@@ -579,3 +589,143 @@ def test_malformed_fields_are_named(tmp_path, capsys, argv, data, message):
     code = main([arg.format(**files) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("transcube.sts.action_tables", ["free", "--input", "{interval}"]),
+        ("transcube.sts.Sts.act", ["dist", "--input", "{interval}", "--chain", "--p", "2,1/2", "--q", "2,1"]),
+    ],
+    ids=["action_tables", "Sts.act"],
+)
+def test_an_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch, target, argv):
+    # only InputError, CliError and BudgetExceeded become exit codes; a bug propagates
+    def planted(*args, **kwargs):
+        raise ValueError("planted internal bug")
+
+    monkeypatch.setattr(target, planted)
+    files = {"interval": str(interval_json(tmp_path))}
+    with pytest.raises(ValueError, match="planted internal bug"):
+        main([arg.format(**files) for arg in argv])
+
+
+_MISFITS = {
+    "eval point of the wrong dimension": (
+        ["eval", "--map", "2>2:0,1,1,3", "--point", "1/2"],
+        "point of dimension 1 fed to map from [2]",
+    ),
+    "points of two dimensions": (["dist", "--points", "1/2", "1/2,1"], "dimension mismatch: 1 != 2"),
+    "maps that do not compose": (
+        ["compose", "2>2:0,1,1,3", "1>3:0,1"],
+        "cannot compose: inner map lands in [3], outer starts at [2]",
+    ),
+    "path through a map from another cube": (
+        ["dpath", "transport", "--input", "{path}", "--map", "2>2:0,1,1,3"],
+        "path of dimension 1 fed to map from [2]",
+    ),
+    "naturalizing a path that goes down": (
+        ["dpath", "naturalize", "--input", "{back}"],
+        "not a directed path: a coordinate decreases",
+    ),
+    "unknown vertex": (["dist", "--input", "{interval}", "--from", "0", "--to", "9"], "unknown vertex id"),
+    "coordinate that is not a rational": (["eval", "--map", "1>1:0,1", "--point", "x"], None),
+    "file that is not JSON": (["free", "--input", "{broken}"], None),
+}
+
+
+@pytest.mark.parametrize("argv, message", _MISFITS.values(), ids=_MISFITS)
+def test_arguments_that_do_not_fit_are_usage_errors(tmp_path, capsys, argv, message):
+    # the library raises ValueError for these; the CLI checks them as input
+    files = {"interval": str(interval_json(tmp_path))}
+    for name, breakpoints in (("path", [["0", "0"], ["1", "1"]]), ("back", [["0", "1"], ["1", "0"]])):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps({"legs": [{"dim": 1, "breakpoints": breakpoints}]}))
+    files["broken"] = str(tmp_path / "broken.json")
+    (tmp_path / "broken.json").write_text('{"max_dim": 1, "cubes"')
+    code = main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+
+
+def test_count_only_refuses_a_negative_dimension(capsys):
+    assert main(["enumerate", "--dom", "-1", "--cod", "4", "--count-only"]) == 2
+    assert capsys.readouterr().err == "error: dimensions must be nonnegative\n"
+
+
+def _accepts(argv: list[str], budget: int, cold) -> bool:
+    cold()
+    code = main(["--budget", str(budget), *argv])
+    assert code in (0, 3)
+    return code == 0
+
+
+def _cold_homsets() -> None:
+    from transcube import homsets
+
+    homsets.enumerate_homset.cache_clear()
+    homsets.count_endomaps.cache_clear()
+
+
+@pytest.mark.parametrize("dom, cod", [(2, 2), (3, 4), (4, 4), (4, 6), (0, 12)])
+def test_count_only_accepts_the_budgets_of_the_listing(capsys, dom, cod):
+    # binary search for the least budget --count-only accepts, cold and warm
+    count_only = ["enumerate", "--dom", str(dom), "--cod", str(cod), "--count-only"]
+    least = {}
+    for state, cold in (("cold", _cold_homsets), ("warm", lambda: None)):
+        main(count_only)
+        lo, hi = 0, 10_000_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _accepts(count_only, mid, cold) else (mid + 1, hi)
+        least[state] = lo
+    assert least["cold"] == least["warm"]
+    # A cold listing makes the charges of a warm one and more, so one accepted
+    # cold at the least budget and refused warm a cell below accepts exactly
+    # the budgets of --count-only, cold and warm.
+    listing = count_only[:-1]
+    assert _accepts(listing, least["cold"], _cold_homsets)
+    assert not _accepts(listing, least["cold"] - 1, lambda: None)
+    capsys.readouterr()
+    _cold_homsets()  # drop the listing's maps
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["factor", "--map", "2>2:0,1,1,3"],
+        ["eval", "--map", "2>2:0,1,1,3", "--point", "1/2,1/3"],
+        ["enumerate", "--dom", "4", "--cod", "4", "--count-only"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_imports_only_what_it_uses(argv):
+    proc = _child("-X", "importtime", "-m", "transcube.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported(proc.stderr)
+    assert "transcube" in modules
+    assert not {"transcube.suites", "numpy"} & modules
+
+
+def test_import_transcube_loads_no_submodule():
+    proc = _child("-c", "import sys, transcube; print(sorted(m for m in sys.modules if m.startswith('transcube.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_export_resolves_to_its_module_object():
+    import importlib
+
+    import transcube
+
+    assert len(set(transcube.__all__)) == len(transcube.__all__)
+    for name in transcube.__all__:
+        module = importlib.import_module(f"transcube.{transcube._MODULE_OF[name]}")
+        assert getattr(transcube, name) is getattr(module, name), name
+    namespace = {}
+    exec("from transcube import *", namespace)
+    assert set(transcube.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        transcube.no_such_name

@@ -22,6 +22,7 @@ from transcube.homsets import (
     BudgetExceeded,
     check_factorization_final,
     composable_pairs,
+    count_endomaps,
     count_homset,
     decompose_coface,
     enumerate_cofaces,
@@ -90,6 +91,24 @@ def test_three_cube_endos_brute_force():
 @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (2, 3), (3, 3), (0, 4), (1, 4), (2, 4), (3, 4), (4, 4)])
 def test_count_formula_matches_enumeration(m, n):
     assert count_homset(m, n) == len(enumerate_homset(m, n))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for n in range(5) for m in range(n + 1)])
+def test_count_from_a_cold_cache_matches_enumeration(m, n):
+    count_endomaps.cache_clear()
+    assert count_homset(m, n) == len(enumerate_homset(m, n))
+
+
+def test_counting_builds_no_map(monkeypatch):
+    import transcube.homsets as homsets
+
+    def no_maps(*args):
+        raise AssertionError("a map was built")
+
+    count_endomaps.cache_clear()
+    monkeypatch.setattr(homsets, "interned", no_maps)
+    assert [count_endomaps(m) for m in range(5)] == [1, 1, 4, 66, 7128]
+    assert count_homset(3, 5) == 66 * comb(5, 3) * 4
 
 
 def test_known_counts():
