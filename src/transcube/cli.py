@@ -36,10 +36,8 @@ def _dist_str(d) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from math import comb
-
     from .cube import InputError
-    from .homsets import charge, count_homset, enumerate_homset
+    from .homsets import charge, charge_cofaces, count_homset, enumerate_homset
 
     if args.dom < 0 or args.cod < 0:
         raise InputError("dimensions must be nonnegative")
@@ -47,7 +45,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # Counted without building a map, and charged as the listing is: its
         # coface composites first, then the tables of every map.
         what = "enumerate_homset(%s, %s)"
-        charge(comb(args.cod, args.dom) << args.cod, what, args.dom, args.cod)
+        charge_cofaces(args.dom, args.cod, what, args.dom, args.cod)
         count = count_homset(args.dom, args.cod)
         charge(count << args.dom, what, args.dom, args.cod)
         print(count)
@@ -389,11 +387,13 @@ def main(argv: list[str] | None = None) -> int:
     reported as exit codes; any other error is a bug and propagates."""
     args = build_parser().parse_args(argv)
     from .cube import InputError
-    from .homsets import BudgetExceeded, set_cell_budget
+    from .homsets import BudgetExceeded, cell_budget, set_cell_budget
 
-    if args.budget is not None:
-        set_cell_budget(args.budget)
     try:
+        if args.budget is None:
+            cell_budget()  # a malformed TRANSCUBE_BUDGET is refused whatever the command charges
+        else:
+            set_cell_budget(args.budget)
         return args.fn(args)
     except BudgetExceeded as err:
         print(f"budget: {err}", file=sys.stderr)

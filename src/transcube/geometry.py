@@ -145,6 +145,11 @@ def chain_distance_sample(
         if len(pres.local) != sts.dim_of[pres.cube_id]:
             raise InputError("presentation does not match its cube dimension")
 
+    # Past the bit length of ``budget`` a cube of positive dimension alone
+    # has more waypoints than that, and a set of vertices alone has as many
+    # at every refinement: each refinement there is cut alike, so the cut
+    # starts just above it.
+    refinement = min(refinement, budget.bit_length() + 1)
     exhausted = False
     while refinement > 0:
         total = sum(

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cube import CubeMap, bit_height, coface, coface_table, compose, extract_bits, interned, split_coordinates
+from .cube import CubeMap, InputError, bit_height, coface, coface_table, compose, extract_bits, interned, split_coordinates
 
 DEFAULT_BUDGET = 10_000_000
 _BUDGET_ENV = "TRANSCUBE_BUDGET"
@@ -38,29 +38,61 @@ class BudgetExceeded(RuntimeError):
 
 
 def set_cell_budget(value: int | None) -> None:
-    """Process-wide budget override; ``None`` restores env/default lookup."""
+    """Process-wide budget override; ``None`` restores env/default lookup.
+    A negative budget raises :class:`transcube.cube.InputError`."""
     global _budget_override
+    if value is not None and value < 0:
+        raise InputError(f"the budget must be a nonnegative integer, got {value}")
     _budget_override = value
 
 
 def cell_budget() -> int:
     """Enumeration budget in table cells; the explicit override wins, then
-    the TRANSCUBE_BUDGET environment variable, then the default."""
+    the TRANSCUBE_BUDGET environment variable, then the default.  A value of
+    the variable that is not a nonnegative integer raises
+    :class:`transcube.cube.InputError`."""
     if _budget_override is not None:
         return _budget_override
     if _BUDGET_KEY not in os.environ._data:  # os.environ.get raises KeyError twice when unset
         return DEFAULT_BUDGET
-    return int(os.environ[_BUDGET_ENV])
+    raw = os.environ[_BUDGET_ENV]
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InputError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
+    return value
+
+
+#: The peaks of the cold builds running now, innermost last: each
+#: :func:`charged_cache` gate pushes one before its body runs and pops it
+#: after, and :func:`charge` raises the innermost.
+_peaks: list[int] = []
 
 
 def charge(cells: int, what: str, *args: object) -> None:
     """The one budget rule: materializing ``cells`` table cells for
     ``what % args`` raises :class:`BudgetExceeded` when ``cells`` exceeds
     :func:`cell_budget`.  Hom-sets, coface sets and action tables all charge
-    through here; the label is formatted only when the charge is refused."""
+    through here; the label is formatted only when the charge is refused.
+    An accepted charge raises the peak of the innermost cold build."""
     budget = cell_budget()
     if cells > budget:
         raise BudgetExceeded(f"{what % args} needs {cells} cells, over the budget of {budget}")
+    if _peaks and cells > _peaks[-1]:
+        _peaks[-1] = cells
+
+
+def charge_cofaces(m: int, n: int, what: str, *args: object) -> None:
+    """Charge the ``C(n, m) << n`` cells the coface composites ``[m] -> [n]``
+    fill, as :func:`charge` does.  When there are any, ``1 << n`` alone is
+    over the budget once ``n`` reaches its bit length, and is refused there:
+    the product would not fit in memory for a huge ``n``."""
+    budget = cell_budget()
+    if m <= n and n >= budget.bit_length():
+        raise BudgetExceeded(f"{what % args} needs at least 2**{n} cells, over the budget of {budget}")
+    charge(comb(n, m) << n, what, *args)
 
 
 #: Bound on the ``(m, n)`` entries each hom-set cache keeps; every pair with
@@ -69,25 +101,34 @@ HOMSET_CACHE_MAXSIZE = 256
 
 
 def charged_cache(maxsize: int):
-    """Decorator: keep ``body(*args) -> (value, cells)`` in an ``lru_cache`` of
-    ``maxsize`` entries behind a gate that charges ``cells`` on every call,
-    warm or cold, and returns ``value``.
+    """Decorator: keep ``body(*args)`` in an ``lru_cache`` of ``maxsize``
+    entries behind a gate that charges, on every call, warm or cold, the
+    peak of the cold build: the largest charge its body made.
 
-    ``cells`` is the largest charge the cold body makes with the caches it
-    reads warm, so the smallest budget a call accepts does not depend on
-    whether its result was cached.  The gate keeps the body's name and
-    exposes ``cache_info`` and ``cache_clear``; a refused charge names the
-    call, as in ``enumerate_homset(4, 4)``.
+    The gate records that peak itself (see :data:`_peaks`).  A gate called
+    inside a cold body charges its own peak again, so the peak is the same
+    whether the caches the body reads were warm or cold, and the smallest
+    budget a call accepts does not depend on whether its result was cached.
+    The gate keeps the body's name and exposes ``cache_info`` and
+    ``cache_clear``; a refused charge names the call, as in
+    ``enumerate_homset(4, 4)``.
     """
 
     def wrap(body):
-        cached = lru_cache(maxsize=maxsize)(body)
+        def recorded(*args):
+            _peaks.append(0)
+            try:
+                return body(*args), _peaks[-1]
+            finally:
+                _peaks.pop()
+
+        cached = lru_cache(maxsize=maxsize)(recorded)
         label = body.__name__ + "(" + ", ".join(["%s"] * body.__code__.co_argcount) + ")"
 
         @wraps(body)
         def gate(*args):
-            value, cells = cached(*args)
-            charge(cells, label, *args)
+            value, peak = cached(*args)
+            charge(peak, label, *args)
             return value
 
         gate.cache_info, gate.cache_clear = cached.cache_info, cached.cache_clear
@@ -102,12 +143,12 @@ def _search(m: int, n: int, what: str, found: list[tuple[int, ...]] | None = Non
     is a list, appends the table of each.  Charges ``C(n, m) << n`` cells
     first (the coface composites alone fill that many), then the maps found
     so far each time their count doubles, so a refused search holds at most
-    twice the budget."""
+    twice the budget, and last the exact total, ``count << m``."""
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
     if m > n:
         return 0
-    charge(comb(n, m) << n, what)
+    charge_cofaces(m, n, what)
     order = sorted(range(1 << m), key=lambda x: (bit_height(x), x))
     below = [[x & ~(1 << i) for i in range(m) if (x >> i) & 1] for x in order]
     rise = [bit_height(x) for x in order]
@@ -156,37 +197,43 @@ def _search(m: int, n: int, what: str, found: list[tuple[int, ...]] | None = Non
                 dfs(1, base)
             else:
                 leaf()
+    charge(count << m, what)
     return count
 
 
 @charged_cache(HOMSET_CACHE_MAXSIZE)
-def enumerate_homset(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
+def enumerate_homset(m: int, n: int) -> tuple[CubeMap, ...]:
     """All cotransverse maps ``[m] -> [n]`` in lexicographic table order,
     each built and validated by :class:`CubeMap`.
 
     Empty when ``m > n``.  Raises :class:`BudgetExceeded` once the tables
     would exceed the configured cell budget; the guard keeps desk scale
-    exhaustive searches from blowing up past dimension 5 or so.  A cold
-    enumeration charges as :func:`_search` does, and the gate charges the
-    exact total, ``len << m`` cells.
+    exhaustive searches from blowing up past dimension 5 or so.  Charged
+    as :func:`_search` charges, ``len << m`` cells at most.
     """
     tables: list[tuple[int, ...]] = []
     _search(m, n, f"enumerate_homset({m}, {n})", tables)
     tables.sort()
-    return tuple(interned(m, n, t) for t in tables), len(tables) << m
+    return tuple(interned(m, n, t) for t in tables)
 
 
 @charged_cache(HOMSET_CACHE_MAXSIZE)
-def count_endomaps(m: int) -> tuple[int, int]:
+def count_endomaps(m: int) -> int:
     """``|End([m])|``, found by the search of :func:`enumerate_homset` without
     building a map, and charged as ``enumerate_homset(m, m)`` is."""
-    count = _search(m, m, f"count_endomaps({m})")
-    return count, count << m
+    return _search(m, m, f"count_endomaps({m})")
 
 
 def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
     """Every composable pair ``(f: [m] -> [n], g: [n] -> [p])`` with
-    ``m <= n <= p <= top``, ordered by ``m``, ``n``, ``p``, then ``f``, then ``g``."""
+    ``m <= n <= p <= top``, ordered by ``m``, ``n``, ``p``, then ``f``, then ``g``.
+    Charges one cell per pair, counted before any hom-set is listed."""
+    pairs = 0
+    for m in range(top + 1):
+        for n in range(m, top + 1):
+            for p in range(n, top + 1):
+                pairs += count_homset(m, n) * count_homset(n, p)
+                charge(pairs, "composable_pairs(%s)", top)
     homs = {(m, n): enumerate_homset(m, n) for m in range(top + 1) for n in range(m, top + 1)}
     return [
         (f, g)
@@ -199,7 +246,7 @@ def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
 
 
 @charged_cache(16)
-def generating_family(max_dim: int) -> tuple[tuple[tuple[tuple[int, int, int] | None, CubeMap], ...], int]:
+def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, CubeMap], ...]:
     """The maps whose actions determine every action, up to ``[max_dim]``.
 
     For each ``1 <= n <= max_dim``: the elementary cofaces into ``[n]`` by
@@ -210,22 +257,19 @@ def generating_family(max_dim: int) -> tuple[tuple[tuple[tuple[int, int, int] | 
     Charges the largest endomap hom-set, ``|End([n])| << n`` cells.
     """
     family: list[tuple[tuple[int, int, int] | None, CubeMap]] = []
-    cells = 0
     for n in range(1, max_dim + 1):
-        endos = enumerate_homset(n, n)
         family += [((n, i, a), coface(i, a, n)) for i in range(1, n + 1) for a in (0, 1)]
-        family += [(None, e) for e in endos]
-        cells = max(cells, len(endos) << n)
-    return tuple(family), cells
+        family += [(None, e) for e in enumerate_homset(n, n)]
+    return tuple(family)
 
 
 @charged_cache(HOMSET_CACHE_MAXSIZE)
-def enumerate_cofaces(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
+def enumerate_cofaces(m: int, n: int) -> tuple[CubeMap, ...]:
     """All coface composites ``[m] -> [n]``: choose the m free coordinates and
     the constant value of each remaining one.  Lexicographic table order."""
     if m > n:
-        return (), 0
-    charge(comb(n, m) << n, f"enumerate_cofaces({m}, {n})")
+        return ()
+    charge_cofaces(m, n, "enumerate_cofaces(%s, %s)", m, n)
     # The constants of the fixed coordinates range over the table of the
     # coface that inserts them into the all-zero base.
     tables = sorted(
@@ -233,7 +277,7 @@ def enumerate_cofaces(m: int, n: int) -> tuple[tuple[CubeMap, ...], int]:
         for free in combinations(range(n), m)
         for base in coface_table(0, tuple(i for i in range(n) if i not in free))
     )
-    return tuple(interned(m, n, t) for t in tables), len(tables) << m
+    return tuple(interned(m, n, t) for t in tables)
 
 
 def is_coface(f: CubeMap) -> bool:

@@ -38,7 +38,6 @@ from .sts import (
     BUILD_CACHE_MAXSIZE,
     Sts,
     _build,
-    _cells,
     _new,
     action_tables,
     boundary,
@@ -170,31 +169,28 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _maps_into(q: int, top: int) -> tuple[Sts, int]:
+def _maps_into(q: int, top: int) -> Sts:
     """The maps into ``[q]`` from levels up to ``[top]``, acting by
     precomposition, with the maps themselves as cube ids."""
     graded = [enumerate_homset(m, q) for m in range(top + 1)]
     face, endo = action_tables(graded, lambda u, h: compose(h, u), contravariant=True)
-    maps = Sts(top, dict(enumerate(graded)), face, endo)
-    return maps, _cells(maps.cubes, face, endo)
+    return Sts(top, dict(enumerate(graded)), face, endo)
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _maps_out_of(p: int, top: int) -> tuple[CotransverseSetObj, int]:
+def _maps_out_of(p: int, top: int) -> CotransverseSetObj:
     """:func:`hom_obj` ``(p, top)``, built once: the maps out of ``[p]`` into
     levels up to ``[top]``, acting by postcomposition.  Its readers never
     change it."""
-    maps = hom_obj(p, top)
-    return maps, max(top + 1, _cells(maps.values, maps.coface_maps, maps.endo_maps))
+    return hom_obj(p, top)
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _weight(n: int) -> tuple[Sts, int]:
+def _weight(n: int) -> Sts:
     """The cached set behind :func:`boundary_weight`."""
     quots = [boundary_hom(p, n, n) for p in range(n)]
     graded = [q.representatives() for q in quots] + [[]]
-    weight = _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
-    return weight, _cells(weight.cubes, weight.face, weight.endo)
+    return _build(graded, lambda u, w: quots[u.dom_dim].class_of((w[0], w[1], compose(w[2], u))))
 
 
 def boundary_weight(n: int) -> Sts:
@@ -222,14 +218,13 @@ def latching(a_obj: CotransverseSetObj, n: int) -> QuotientSet:
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _weight_to_boundary(n: int) -> tuple[tuple[Sts, Sts, dict[int, int]], int]:
+def _weight_to_boundary(n: int) -> tuple[Sts, Sts, dict[int, int]]:
     """The weight, the boundary of ``[n]``, and the cube of ``h o g`` in the
     boundary for each weight cube labelled ``(m, h, g)``."""
     weight, bnd = _weight(n), boundary(n)
     cube_index = {bnd.labels[c]: c for c in bnd.all_cubes()}
     to_boundary = {c: cube_index[compose(h, g)] for c, (m, h, g) in weight.labels.items()}
-    cells = max(_cells(weight.cubes, weight.face, weight.endo), _cells(bnd.cubes, bnd.face, bnd.endo))
-    return (weight, bnd, to_boundary), cells
+    return weight, bnd, to_boundary
 
 
 class LatchingComparison(NamedTuple):

@@ -209,24 +209,11 @@ def empty_sts(max_dim: int) -> Sts:
 BUILD_CACHE_MAXSIZE = 64
 
 
-def _cells(levels: Mapping[int, Sequence], face: Mapping, endo: Mapping) -> int:
-    """The largest charge a build of the generating tables ``face`` and
-    ``endo`` over ``levels`` (the layout of :func:`family_table`, either
-    variance) makes: the tables (:func:`action_tables`), the hom-set of one
-    level (``len << m`` cells, as :func:`enumerate_homset` charges) or the
-    endomaps of one level (``|End([k])| << k``, as :func:`generating_family`
-    charges)."""
-    entries = sum(map(len, face.values())) + sum(len(t) for by in endo.values() for t in by.values())
-    sizes = [len(ids) << m for m, ids in levels.items()] + [len(by) << k for k, by in endo.items()]
-    return max([entries] + sizes)
-
-
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _hom_sts(n: int, top: int, below: int) -> tuple[Sts, int]:
+def _hom_sts(n: int, top: int, below: int) -> Sts:
     """Levels ``m < below`` of the representable of ``[n]`` up to ``[top]``."""
     graded = [list(enumerate_homset(m, n)) if m < below else [] for m in range(top + 1)]
-    sts = _build(graded, lambda u, g: compose(g, u))
-    return sts, _cells(sts.cubes, sts.face, sts.endo)
+    return _build(graded, lambda u, g: compose(g, u))
 
 
 def _new(sts: Sts) -> Sts:
@@ -391,7 +378,7 @@ class Precubical(Frozen):
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)
-def _free_rows(n: int) -> tuple[dict[CubeMap, tuple[tuple[int, ...], tuple]], int]:
+def _free_rows(n: int) -> dict[CubeMap, tuple[tuple[int, ...], tuple]]:
     """The action of the generators into ``[n]`` on normal forms, whatever
     the generating cubes.
 
@@ -403,8 +390,7 @@ def _free_rows(n: int) -> tuple[dict[CubeMap, tuple[tuple[int, ...], tuple]], in
     any row is built.
     """
     endos = enumerate_homset(n, n)
-    cells = (2 * n + len(endos)) * len(endos)  # the 2n elementary cofaces and the endomaps
-    charge(cells, "_free_rows(%s)", n)  # the label of the gate, which charges it warm
+    charge((2 * n + len(endos)) * len(endos), "_free_rows(%s)", n)  # the 2n elementary cofaces and the endomaps
     index = {psi: j for m in (n - 1, n) for j, psi in enumerate(enumerate_homset(m, m))}
     rows = {}
     for _, u in generating_family(n):
@@ -412,7 +398,7 @@ def _free_rows(n: int) -> tuple[dict[CubeMap, tuple[tuple[int, ...], tuple]], in
             facs = [factorize(compose(psi, u)) for psi in endos]
             paths = tuple(tuple((i, alpha) for _, i, alpha in reversed(fac.steps)) for fac in facs)
             rows[u] = (tuple(index[fac.psi] for fac in facs), paths)
-    return rows, cells
+    return rows
 
 
 def free_sts(k: Precubical) -> Sts:

@@ -234,6 +234,66 @@ def test_free_sts_charges_as_its_tables():
     assert needed == entries
 
 
+def _cold_homsets() -> None:
+    for gate in (
+        homsets.enumerate_homset, homsets.count_endomaps, homsets.generating_family, homsets.enumerate_cofaces
+    ):
+        gate.cache_clear()
+
+
+#: The least budget each gate of :mod:`transcube.homsets` accepts, warm or cold.
+_HOMSETS_BUDGETS = {
+    "enumerate_homset(3, 3)": (lambda: homsets.enumerate_homset(3, 3), 528),
+    "enumerate_homset(2, 4)": (lambda: homsets.enumerate_homset(2, 4), 384),
+    "enumerate_homset(0, 5)": (lambda: homsets.enumerate_homset(0, 5), 32),
+    "count_endomaps(3)": (lambda: homsets.count_endomaps(3), 528),
+    "count_endomaps(4)": (lambda: homsets.count_endomaps(4), 114048),
+    "enumerate_cofaces(2, 4)": (lambda: homsets.enumerate_cofaces(2, 4), 96),
+    "generating_family(3)": (lambda: homsets.generating_family(3), 528),
+}
+
+
+@pytest.mark.parametrize("call, least", _HOMSETS_BUDGETS.values(), ids=_HOMSETS_BUDGETS)
+def test_homsets_gates_accept_their_pinned_budgets(call, least):
+    assert _smallest_budget(call, lambda: None) == least
+    assert _smallest_budget(call, _cold_homsets) == least
+
+
+def _cold_builds() -> None:
+    _cold_homsets()
+    for gate in (
+        sts._hom_sts, sts._free_rows, reedy._maps_into, reedy._maps_out_of, reedy._weight, reedy._weight_to_boundary
+    ):
+        gate.cache_clear()
+
+
+def test_a_refused_or_failed_cold_build_leaves_no_peak_behind():
+    _cold_builds()
+    with pytest.raises(BudgetExceeded):
+        representable(4)  # its action tables are refused inside the cold build of its hom-sets
+    with pytest.raises(ValueError):
+        enumerate_homset(-1, 2)
+    assert homsets._peaks == []
+    assert _smallest_budget(lambda: representable(2), lambda: None) == 44
+    assert _smallest_budget(lambda: representable(2), _cold_builds) == 44
+
+
+_INNER_CACHES = {
+    "latching frame of [3]": (lambda: reedy._weight_to_boundary(3), reedy._weight_to_boundary),
+    "representable(1, 3)": (lambda: representable(1, 3), sts._hom_sts),
+    "free rows of [3]": (lambda: sts._free_rows(3), sts._free_rows),
+}
+
+
+@pytest.mark.parametrize("call, outer", _INNER_CACHES.values(), ids=_INNER_CACHES)
+def test_a_cold_build_over_warm_inner_caches_records_the_full_peak(call, outer):
+    # the first call of each search builds cold: everything, then the outer build alone
+    _cold_builds()
+    full = _smallest_budget(call, lambda: None)
+    outer.cache_clear()
+    assert _smallest_budget(call, lambda: None) == full
+
+
 #: Every cache of the package, by module and name; each must be bounded.
 EXPECTED_CACHES = {
     "cube._covering_pairs",

@@ -479,6 +479,9 @@ _HUGE_JSON = {"levels": {"max_dim": 10**12}, "cells": [{"dim": 0}, {"dim": 10**1
         ["free", "--input", "{levels}"],
         ["cells", "--script", "{cells}"],
         ["reedy", "--check", "latching", "--max-dim", "100000000000"],
+        ["enumerate", "--dom", "0", "--cod", "100000000000"],
+        ["enumerate", "--dom", "0", "--cod", "100000000000", "--count-only"],
+        ["enumerate", "--dom", "3", "--cod", "100000000000", "--count-only"],
     ],
     ids=" ".join,
 )
@@ -497,6 +500,21 @@ def test_huge_dimension_is_over_budget(tmp_path, argv):
     proc = _child("-c", code, *(arg.format(**files) for arg in argv))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("budget: ") and proc.stderr.count("\n") == 1
+
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "t-functoriality"])
+@pytest.mark.parametrize("max_dim", ["4", "100000000000"])
+def test_checks_past_the_budget_are_noted_not_failed(suite, max_dim):
+    # the composable pairs are charged before any is listed: 55,665,406 up
+    # to [4], which a 1 GiB address space cannot hold
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        "from transcube.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _child("-c", code, "check", suite, "--max-dim", max_dim)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == [f"suite={suite} cases=0 failures=0", "note budget-exhausted"]
 
 
 _MISSING_KEY = {
@@ -729,3 +747,24 @@ def test_every_export_resolves_to_its_module_object():
     assert set(transcube.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         transcube.no_such_name
+
+
+@pytest.mark.parametrize(
+    "env, option",
+    [("abc", []), ("-5", []), ("1.5", []), (None, ["--budget", "-1"])],
+    ids=["letters", "negative", "fraction", "negative option"],
+)
+@pytest.mark.parametrize("command", [["factor", "--map", "1>2:0,1"], ["compose", "1>1:0,1"]], ids=" ".join)
+def test_a_malformed_budget_is_a_usage_error(monkeypatch, capsys, env, option, command):
+    if env is None:
+        monkeypatch.delenv("TRANSCUBE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TRANSCUBE_BUDGET", env)
+    assert main([*option, *command]) == 2
+    subject, value = ("TRANSCUBE_BUDGET", repr(env)) if env else ("the budget", "-1")
+    assert capsys.readouterr().err == f"error: {subject} must be a nonnegative integer, got {value}\n"
+
+
+def test_count_only_of_an_empty_hom_set_is_zero_at_any_codomain(capsys):
+    # no map [30] -> [25]: nothing is charged, however far 2**25 is over the budget
+    assert run(capsys, "--budget", "100", "enumerate", "--dom", "30", "--cod", "25", "--count-only") == (0, "0\n")

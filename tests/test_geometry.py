@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -157,6 +158,21 @@ def test_budget_reduces_refinement():
     q = PointPresentation(top, (F(1), F(1)))
     bound = chain_distance_sample(rep, p, q, budget=30, refinement=3)
     assert bound.exhausted and bound.value == 2
+
+
+
+@pytest.mark.parametrize("n, budget", [(2, 4096), (2, 0), (0, 4096), (0, 0)])
+def test_a_huge_refinement_bounds_as_a_small_one(n, budget):
+    # every refinement past the budget's bit length is cut alike; [0] has
+    # only its vertex, which no refinement changes
+    rep = representable(n)
+    top = top_cube(rep)
+    half, quarter = (F(1, 2),) * n, (F(1, 4),) * n
+    p, q = PointPresentation(top, quarter), PointPresentation(top, half)
+    start = time.perf_counter()
+    huge = chain_distance_sample(rep, p, q, budget=budget, refinement=10**6)
+    assert time.perf_counter() - start < 1
+    assert huge == chain_distance_sample(rep, p, q, budget=budget, refinement=20)
 
 
 def test_dpath_length():

@@ -260,6 +260,24 @@ def test_composable_pairs_count(top, expected):
     assert all(f.cod_dim == g.dom_dim and g.cod_dim <= top for f, g in pairs)
 
 
+
+@pytest.mark.parametrize("top, least", [(2, 70), (3, 7662)])
+def test_composable_pairs_charges_one_cell_per_pair(budget, top, least):
+    budget(least - 1)
+    with pytest.raises(BudgetExceeded):
+        composable_pairs(top)
+    budget(least)
+    assert len(composable_pairs(top)) == least
+
+
+def test_composable_pairs_are_refused_before_a_hom_set_is_listed():
+    enumerate_homset.cache_clear()
+    for top in (4, 10**11):  # 55,665,406 pairs up to [4]
+        with pytest.raises(BudgetExceeded):
+            composable_pairs(top)
+    assert enumerate_homset.cache_info().currsize == 0
+
+
 def test_coface_insertion_round_trip():
     for n in range(5):
         for m in range(n + 1):
