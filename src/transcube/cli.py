@@ -251,19 +251,18 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 
 def cmd_reedy(args: argparse.Namespace) -> int:
-    from .reedy import boundary_hom, boundary_hom_closed_form, compare_latching_to_boundary, constant_obj, hom_obj
+    from .reedy import boundary_hom, boundary_hom_cases, boundary_hom_closed_form
+    from .reedy import compare_latching_to_boundary, constant_obj, hom_obj
 
     top = args.max_dim
     rows = []
     ok = True
     if args.check == "boundary-hom":
-        for p in range(top + 1):
-            for q in range(top + 1):
-                for n in range(top + 1):
-                    got = len(boundary_hom(p, q, n))
-                    want = boundary_hom_closed_form(p, q, n)
-                    ok = ok and got == want
-                    rows.append((f"({p},{q},{n})", got, want))
+        for p, q, n in boundary_hom_cases(top):
+            got = len(boundary_hom(p, q, n))
+            want = boundary_hom_closed_form(p, q, n)
+            ok = ok and got == want
+            rows.append((f"({p},{q},{n})", got, want))
     else:
         battery = [("constant", constant_obj(("*",), top)), ("vertices", hom_obj(0, top))]
         for name, obj in battery:

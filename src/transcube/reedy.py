@@ -21,7 +21,8 @@ being forced terminal by the emptiness of the diagonal boundary hom-sets).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, NamedTuple
+from itertools import product
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .cube import CubeMap, compose
 from .homsets import (
@@ -62,6 +63,12 @@ def boundary_hom_closed_form(p: int, q: int, n: int) -> int:
     if p > q or n <= p:
         return 0
     return count_homset(p, q)
+
+
+def boundary_hom_cases(top: int) -> Iterable[tuple[int, int, int]]:
+    """Every ``(p, q, n)`` up to ``top``, one cell each, charged before any is listed."""
+    charge((top + 1) ** 3, "the boundary hom cases up to [%s]", top)
+    return product(range(top + 1), repeat=3)
 
 
 def canonical_pairs(quot: QuotientSet, p: int, q: int) -> list[tuple]:

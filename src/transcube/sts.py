@@ -380,14 +380,13 @@ class Precubical(Frozen):
 @charged_cache(BUILD_CACHE_MAXSIZE)
 def _free_rows(n: int) -> dict[CubeMap, tuple[tuple[int, ...], tuple]]:
     """The action of the generators into ``[n]`` on normal forms, whatever
-    the generating cubes.
+    the cells.
 
-    One row ``(targets, paths)`` per generator ``u: [m] -> [n]``.  For the
+    One row ``(targets, steps)`` per generator ``u: [m] -> [n]``.  For the
     ``j``-th endomap ``psi`` of ``[n]``, ``psi o u`` factors as the
-    ``targets[j]``-th endomap of ``[m]`` followed by cofaces, and
-    ``paths[j]`` lists those as ``(i, alpha)`` in the order a generating
-    cube is pulled through them.  One cell per ``(u, j)``, charged before
-    any row is built.
+    ``targets[j]``-th endomap of ``[m]`` followed by at most one coface,
+    ``steps[j]``, given as ``(i, alpha)`` (``()`` for none).  One cell per
+    ``(u, j)``, charged before any row is built.
     """
     endos = enumerate_homset(n, n)
     charge((2 * n + len(endos)) * len(endos), "_free_rows(%s)", n)  # the 2n elementary cofaces and the endomaps
@@ -396,41 +395,50 @@ def _free_rows(n: int) -> dict[CubeMap, tuple[tuple[int, ...], tuple]]:
     for _, u in generating_family(n):
         if u.cod_dim == n:
             facs = [factorize(compose(psi, u)) for psi in endos]
-            paths = tuple(tuple((i, alpha) for _, i, alpha in reversed(fac.steps)) for fac in facs)
-            rows[u] = (tuple(index[fac.psi] for fac in facs), paths)
+            steps = tuple(fac.steps[0][1:] if fac.steps else () for fac in facs)
+            rows[u] = (tuple(index[fac.psi] for fac in facs), steps)
     return rows
+
+
+def _cellular(levels: Sequence[Sequence[int]], faces: Mapping[tuple[int, int, int], tuple], top: int) -> Sts:
+    """The set with the ``n``-cells ``levels[n]`` up to ``[top]``, the face of
+    cell ``c`` along the coface ``(i, alpha)`` being the normal form
+    ``(psi, d) = faces[(c, i, alpha)]``.  Its ``n``-cubes are the normal forms
+    ``FreeCell(psi, c)``, the ``j``-th endomap on the ``b``-th cell being
+    ``cubes[n][b * |End([n])| + j]``.  A generator ``u`` acts through the row
+    of ``psi o u`` (:func:`_free_rows`): an endomap stays on the cell, one
+    after a coface acts on that face of the cell."""
+    endos = [enumerate_homset(m, m) for m in range(top + 1)]
+    cubes, labels = _number([[FreeCell(psi, c) for c in levels[m] for psi in endos[m]] for m in range(top + 1)])
+    rows = {n: _free_rows(n) for n in range(1, top + 1) if levels[n]}
+    pos = {c: b for level in levels for b, c in enumerate(level)}
+    index = {psi: j for m in range(top + 1) if levels[m] for j, psi in enumerate(endos[m])}
+    at = {key: (pos[c], index[psi]) for key, (psi, c) in faces.items()}  # (cell position, endomap index)
+
+    def act(u: CubeMap, x: int) -> int:
+        n, m = u.cod_dim, u.dom_dim
+        b, j = divmod(x - cubes[n][0], len(endos[n]))
+        targets, steps = rows[n][u]
+        if m == n:
+            return cubes[n][b * len(endos[n]) + targets[j]]
+        b, e = at[(levels[n][b], *steps[j])]
+        return cubes[m][b * len(endos[m]) + (rows[m][endos[m][targets[j]]][0][e] if m else 0)]
+
+    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
+    return Sts(top, cubes, face, endo, labels)
 
 
 def free_sts(k: Precubical) -> Sts:
     """The symmetric transverse set freely generated by a precubical set.
 
     Dimension ``m`` consists of normal forms ``(psi, c)`` with ``psi`` an
-    endomap of ``[m]`` and ``c`` a generating ``m``-cube; the count is
-    always ``|endos of [m]| * |K_m|``.  A map ``f`` acts by factorizing
-    ``psi o f``: the coface part pulls the generator back through the
-    precubical faces and the endomap part becomes the new normal form.
-    That factorization depends on ``psi`` and the generator only, so it is
-    read from :func:`_free_rows`, fetched for the levels that have cubes.
+    endomap of ``[m]`` and ``c`` a generating ``m``-cube: one cell per cube
+    of ``k``, its faces the precubical ones under the identity.
     """
-    top = k.max_dim
-    endos = [enumerate_homset(m, m) for m in range(top + 1)]
-    levels = [k.cubes.get(m, ()) for m in range(top + 1)]
-    cubes, labels = _number([[FreeCell(psi, c) for c in levels[m] for psi in endos[m]] for m in range(top + 1)])
-    # The cell (j-th endomap, b-th generating cube) of level m is cubes[m][b * |endos of [m]| + j].
-    pos = {c: b for level in levels for b, c in enumerate(level)}
-    rows = {n: _free_rows(n) for n in range(1, top + 1) if levels[n]}
-
-    def act(u: CubeMap, x: int) -> int:
-        n, m = u.cod_dim, u.dom_dim
-        b, j = divmod(x - cubes[n][0], len(endos[n]))
-        targets, paths = rows[n][u]
-        d = levels[n][b]
-        for i, alpha in paths[j]:
-            d = k.faces[(d, i, alpha)]
-        return cubes[m][pos[d] * len(endos[m]) + targets[j]]
-
-    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
-    return Sts(top, cubes, face, endo, labels)
+    levels = [k.cubes.get(m, ()) for m in range(k.max_dim + 1)]
+    dim_of, units = k.dim_of, [identity(m) for m in range(k.max_dim)]
+    faces = {key: (units[dim_of[key[0]] - 1], d) for key, d in k.faces.items()}
+    return _cellular(levels, faces, k.max_dim)
 
 
 def cube_precubical(n: int) -> Precubical:
@@ -524,45 +532,44 @@ def certify_cellular(
 
     Each entry ``{"dim": n, "attach": {boundary cube id -> skeleton cube
     id}}`` glues one copy of the full ``n``-cube along an equivariant map
-    from its boundary to the current skeleton (for ``n = 0`` the boundary is
-    empty and the attach table must be too).  Entries must come in
-    nondecreasing dimension.  Returns the built set, the certificate, and
-    the injection of the final attached cube (useful to locate fresh cells).
+    from its boundary to the skeleton of the cells below ``n`` (for ``n = 0``
+    the boundary is empty and the attach table must be too).  Entries must
+    come in nondecreasing dimension.  Returns the built set, the
+    certificate, and the injection of the final attached cube (useful to
+    locate fresh cells).
 
     Every ``n``-cube of the result arises from exactly one attached
     ``n``-cell and one endomap, so the graded counts are forced to
     ``|endos| * cells``; a set violating that is not cellular and no script
-    can produce it.
+    can produce it.  Labels are ``FreeCell(psi, i)`` with ``i`` the index
+    of the script entry; ids are those of one pushout per entry.
     """
     charge(max_dim + 1, "the levels of a cellular set of dimension %s", max_dim)
-    current = empty_sts(max_dim)
-    cell_counts = {n: 0 for n in range(max_dim + 1)}
-    last_injection: StsMap | None = None
-    prev_dim = 0
+    levels: list[list[int]] = [[] for _ in range(max_dim + 1)]
+    faces: dict[tuple[int, int, int], FreeCell] = {}
     cell_dim = None
-    for entry in script:
+    for e, entry in enumerate(script):
         n = int(entry["dim"])
-        if n < prev_dim:
+        if n < (cell_dim or 0):
             raise InputError("script entries must have nondecreasing dimension")
         if n > max_dim:
             raise InputError(f"cell dimension {n} above the ambient bound {max_dim}")
-        prev_dim = n
-        if n != cell_dim:  # the entries of one dimension share the cell and its boundary
-            cell_dim, cell, bnd = n, representable(n, max_dim), boundary(n, max_dim)
-            to_cell = inclusion_map(bnd, cell)
-        attach_raw = entry.get("attach", {})
-        attach = {int(k): int(v) for k, v in attach_raw.items()}
-        to_skeleton = StsMap(bnd, current, attach)  # validates equivariance
-        result = pushout(to_skeleton, to_cell)
-        current = result.sts
-        last_injection = result.from_right
-        cell_counts[n] += 1
-    cube_counts = {
-        n: len(enumerate_homset(n, n)) * cell_counts[n] for n in range(max_dim + 1)
-    }
-    if current.counts() != cube_counts:
-        raise AssertionError("cellular assembly produced unexpected graded counts")
-    return current, CellCertificate(cell_counts, cube_counts), last_injection
+        if n != cell_dim:  # the cells of one dimension attach to the skeleton of those below
+            cell_dim, bnd, skeleton = n, boundary(n, max_dim), _cellular(levels, faces, max_dim)
+            index = {bnd.labels[c]: c for c in bnd.cubes.get(n - 1, ())}
+            sides = [((i, alpha), index[coface(i, alpha, n)]) for i in range(1, n + 1) for alpha in (0, 1)]
+        attach = {int(k): int(v) for k, v in entry.get("attach", {}).items()}
+        StsMap(bnd, skeleton, attach)  # validates equivariance
+        faces.update(((e, *side), skeleton.labels[attach[c]]) for side, c in sides)
+        levels[n].append(e)
+    out = _cellular(levels, faces, max_dim)
+    counts = {n: len(level) for n, level in enumerate(levels)}
+    cert = CellCertificate(counts, {n: len(enumerate_homset(n, n)) * cells for n, cells in counts.items()})
+    if not script:
+        return out, cert, None
+    cell = representable(cell_dim, max_dim)  # the last cell is the last |End([n])| cubes of its level
+    fresh = zip(cell.cubes[cell_dim], out.cubes[cell_dim][-len(cell.cubes[cell_dim]) :])
+    return out, cert, StsMap(cell, out, {**attach, **dict(fresh)})
 
 
 def terminal_sts(max_dim: int) -> Sts:

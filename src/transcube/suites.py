@@ -36,6 +36,7 @@ from .paths import (
 )
 from .reedy import (
     boundary_hom,
+    boundary_hom_cases,
     boundary_hom_closed_form,
     canonical_pairs,
     compare_latching_to_boundary,
@@ -338,24 +339,18 @@ def suite_free_iso(report: CheckSuiteReport, max_dim: int, rnd: random.Random, s
 
 
 def suite_boundary_hom(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
-    for p in range(max_dim + 1):
-        for q in range(max_dim + 1):
-            for n in range(max_dim + 1):
-                report.cases += 1
-                quot = boundary_hom(p, q, n)
-                expected = boundary_hom_closed_form(p, q, n)
-                if len(quot) != expected:
-                    report.failures.append(
-                        f"boundary hom ({p},{q},{n}): {len(quot)} classes, expected {expected}"
-                    )
-                    continue
-                if expected:
-                    for found in canonical_pairs(quot, p, q):
-                        if len(found) != 1:
-                            report.failures.append(
-                                f"boundary hom ({p},{q},{n}): canonical pair not unique"
-                            )
-                            break
+    for p, q, n in boundary_hom_cases(max_dim):
+        report.cases += 1
+        quot = boundary_hom(p, q, n)
+        expected = boundary_hom_closed_form(p, q, n)
+        if len(quot) != expected:
+            report.failures.append(f"boundary hom ({p},{q},{n}): {len(quot)} classes, expected {expected}")
+            continue
+        if expected:
+            for found in canonical_pairs(quot, p, q):
+                if len(found) != 1:
+                    report.failures.append(f"boundary hom ({p},{q},{n}): canonical pair not unique")
+                    break
 
 
 def suite_latching(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:

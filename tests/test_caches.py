@@ -21,6 +21,7 @@ from transcube.sts import (
     Sts,
     boundary,
     boundary_precubical,
+    certify_cellular,
     cube_precubical,
     free_sts,
     representable,
@@ -97,6 +98,34 @@ _FREE_INPUTS = {
 def test_free_sts_matches_the_per_cell_rule(build):
     k = build()
     assert dump(free_sts(k)) == dump(reference_free_sts(k))
+
+
+def free_script(k: Precubical) -> list[dict]:
+    """One cell per cube of ``k``, in level order.  Each boundary cube ``u``
+    of a cell ``c`` is attached to the free cube of ``factorize(u)``: its
+    endomap part on ``c`` pulled back through the coface part."""
+    free = free_sts(k)
+    ids = {label: x for x, label in free.labels.items()}
+    script = []
+    for n in range(k.max_dim + 1):
+        bnd = boundary(n, k.max_dim)
+        for c in k.cubes.get(n, ()):
+            attach = {}
+            for b, u in bnd.labels.items():
+                fac, d = factorize(u), c
+                for _, i, alpha in reversed(fac.steps):
+                    d = k.faces[(d, i, alpha)]
+                attach[b] = ids[FreeCell(fac.psi, d)]
+            script.append({"dim": n, "attach": attach})
+    return script
+
+
+@pytest.mark.parametrize("build", _FREE_INPUTS.values(), ids=_FREE_INPUTS)
+def test_free_sets_are_cellular(build):
+    # the same ids and tables; labels name script entries, not cubes of k
+    k = build()
+    without_labels = lambda s: dump(s)[:2] + dump(s)[3:]
+    assert without_labels(certify_cellular(free_script(k), k.max_dim)[0]) == without_labels(free_sts(k))
 
 
 @pytest.mark.parametrize("builder", [representable, boundary], ids=lambda b: b.__name__)

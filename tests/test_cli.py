@@ -479,6 +479,7 @@ _HUGE_JSON = {"levels": {"max_dim": 10**12}, "cells": [{"dim": 0}, {"dim": 10**1
         ["free", "--input", "{levels}"],
         ["cells", "--script", "{cells}"],
         ["reedy", "--check", "latching", "--max-dim", "100000000000"],
+        ["reedy", "--check", "boundary-hom", "--max-dim", "100000000000"],
         ["enumerate", "--dom", "0", "--cod", "100000000000"],
         ["enumerate", "--dom", "0", "--cod", "100000000000", "--count-only"],
         ["enumerate", "--dom", "3", "--cod", "100000000000", "--count-only"],
@@ -515,6 +516,17 @@ def test_checks_past_the_budget_are_noted_not_failed(suite, max_dim):
     proc = _child("-c", code, "check", suite, "--max-dim", max_dim)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == [f"suite={suite} cases=0 failures=0", "note budget-exhausted"]
+
+
+def test_boundary_hom_check_past_the_budget_is_noted_not_failed():
+    # the (p, q, n) cases are charged before any is run: (10**11 + 1)**3
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        "from transcube.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _child("-c", code, "check", "boundary-hom", "--max-dim", "100000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["suite=boundary-hom cases=0 failures=0", "note budget-exhausted"]
 
 
 _MISSING_KEY = {

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from transcube import cube
+from transcube import cube, homsets
+from transcube import sts as sts_module
 from transcube.cube import coface, compose, identity, max_min_collapse, min_max_collapse
-from transcube.homsets import BudgetExceeded, enumerate_cofaces, enumerate_homset
+from transcube.cube import InputError
+from transcube.homsets import BudgetExceeded, enumerate_cofaces, enumerate_homset, set_cell_budget
 from transcube.sts import (
     FreeCell,
     Precubical,
@@ -466,3 +468,138 @@ def test_precubical_refuses_cubes_above_max_dim():
         Precubical(-1, {0: (0,)}, {})
     # empty levels outside the range are harmless
     assert Precubical(0, {0: (0,), 1: ()}, {}).dim_of == {0: 0}
+
+
+def pushout_assembly(script: list[dict], max_dim: int) -> tuple[Sts, StsMap | None, list[dict[int, int]]]:
+    """The reference for :func:`certify_cellular`: one pushout per entry,
+    ``pushout(StsMap(bnd, current, attach), inclusion_map(bnd, cell))``.
+    Returns the set, the injection of the last cell and, per entry, the
+    final id of each cube of its cell."""
+    current, injection, cells = empty_sts(max_dim), None, []
+    for entry in script:
+        n = entry["dim"]
+        bnd, cell = boundary(n, max_dim), representable(n, max_dim)
+        res = pushout(StsMap(bnd, current, entry.get("attach", {})), inclusion_map(bnd, cell))
+        cells = [{c: res.from_left(d) for c, d in ids.items()} for ids in cells] + [dict(res.from_right.mapping)]
+        current, injection = res.sts, res.from_right
+    return current, injection, cells
+
+
+def ids_and_tables(s: Sts) -> tuple:
+    """A set without its labels: ids and every table entry, in order."""
+    return (
+        s.max_dim,
+        list(s.cubes.items()),
+        [(key, list(table.items())) for key, table in s.face.items()],
+        [(n, [(u, list(table.items())) for u, table in by.items()]) for n, by in s.endo.items()],
+    )
+
+
+def twisted_cube_script(n: int) -> list[dict]:
+    """:func:`cellular_script_for_cube` plus one ``n``-cell for each of the
+    first six endomaps ``psi`` of ``[n]``, attached along ``u -> psi o u``."""
+    script, _ = cellular_script_for_cube(n)
+    _, _, cells = pushout_assembly(script, n)
+    composites = [phi for m in range(n + 1) for phi in enumerate_cofaces(m, n)]  # one per entry
+    cell_labels = {m: representable(m, n).labels for m in range(n + 1)}
+    index = {
+        compose(phi, cell_labels[phi.dom_dim][c]): d for phi, ids in zip(composites, cells) for c, d in ids.items()
+    }
+    bnd = boundary(n, n)
+    for psi in enumerate_homset(n, n)[:6]:
+        script.append({"dim": n, "attach": {b: index[compose(psi, u)] for b, u in bnd.labels.items()}})
+    return script
+
+
+def graph_script(vertices: int, edges: int, seed: int) -> list[dict]:
+    """A random directed multigraph, loops allowed: vertices, then edges."""
+    rnd = random.Random(seed)
+    script = [{"dim": 0, "attach": {}} for _ in range(vertices)]
+    for _ in range(edges):
+        script.append({"dim": 1, "attach": {0: rnd.randrange(vertices), 1: rnd.randrange(vertices)}})
+    return script
+
+
+_SCRIPTS = {
+    **{f"cube {n}": (lambda n=n: (cellular_script_for_cube(n)[0], n)) for n in range(4)},
+    **{f"twisted cube {n}": (lambda n=n: (twisted_cube_script(n), n)) for n in (2, 3)},
+    "loop": lambda: ([{"dim": 0, "attach": {}}, {"dim": 1, "attach": {0: 0, 1: 0}}], 1),
+    **{f"graph {v}+{e}": (lambda v=v, e=e: (graph_script(v, e, v + e), 1)) for v, e in [(3, 2), (6, 9), (40, 80)]},
+    "point at max_dim 2": lambda: ([{"dim": 0}], 2),
+    "empty": lambda: ([], 2),
+}
+
+
+@pytest.mark.parametrize("build", _SCRIPTS.values(), ids=_SCRIPTS)
+def test_certify_matches_one_pushout_per_entry(build):
+    script, max_dim = build()
+    expected, injection, _ = pushout_assembly(script, max_dim)
+    got, cert, got_injection = certify_cellular(script, max_dim)
+    assert ids_and_tables(got) == ids_and_tables(expected)
+    assert (got_injection is None) == (injection is None) == (not script)
+    assert got_injection is None or got_injection.mapping == injection.mapping
+    assert cert.cell_counts == {n: sum(e["dim"] == n for e in script) for n in range(max_dim + 1)}
+    # the j-th endomap on entry e, in entry order, which is also id order
+    labels = [FreeCell(psi, e) for e, entry in enumerate(script) for psi in enumerate_homset(entry["dim"], entry["dim"])]
+    assert [got.labels[c] for c in got.all_cubes()] == labels
+
+
+def test_certify_glues_no_pushout(monkeypatch):
+    script = twisted_cube_script(2)
+
+    def refuse(*args):
+        raise AssertionError("cellular assembly glued a pushout")
+
+    for name in ("pushout", "inclusion_map", "QuotientSet"):
+        monkeypatch.setattr(sts_module, name, refuse)
+    built = []
+    real = sts_module.representable
+    monkeypatch.setattr(sts_module, "representable", lambda *args: built.append(args) or real(*args))
+    certify_cellular(script, 2)
+    assert built == [(2, 2)]  # once, for the injection of the last cell
+
+
+def test_attaching_to_a_cell_of_the_same_dimension_is_refused():
+    # cube 2 is the first edge: a later edge attaches to the skeleton below it
+    script = [{"dim": 0}, {"dim": 0}, {"dim": 1, "attach": {0: 0, 1: 1}}, {"dim": 1, "attach": {0: 2, 1: 1}}]
+    with pytest.raises(InputError, match="sends cube 0 to 2, which is not a cube of the target"):
+        certify_cellular(script, 1)
+
+
+def _cold_cellular_caches() -> None:
+    for gate in (
+        homsets.enumerate_homset,
+        homsets.count_endomaps,
+        homsets.generating_family,
+        homsets.enumerate_cofaces,
+        sts_module._hom_sts,
+        sts_module._free_rows,
+    ):
+        gate.cache_clear()
+
+
+#: The least cell budget each script is assembled under, warm or cold.
+_CELLULAR_BUDGETS = {
+    "cube 1": (lambda: cellular_script_for_cube(1)[0], 1, 3),
+    "cube 2": (lambda: cellular_script_for_cube(2)[0], 2, 44),
+    "cube 3": (lambda: cellular_script_for_cube(3)[0], 3, 4980),
+    "twisted cube 2": (lambda: twisted_cube_script(2), 2, 172),
+}
+
+
+@pytest.mark.parametrize("build, max_dim, least", _CELLULAR_BUDGETS.values(), ids=_CELLULAR_BUDGETS)
+def test_cellular_assembly_accepts_its_pinned_budget(build, max_dim, least):
+    script = build()
+    certify_cellular(script, max_dim)
+    for cold in (lambda: None, _cold_cellular_caches):
+        for budget in (least, least - 1):
+            cold()
+            set_cell_budget(budget)
+            try:
+                if budget == least:
+                    certify_cellular(script, max_dim)
+                else:
+                    with pytest.raises(BudgetExceeded):
+                        certify_cellular(script, max_dim)
+            finally:
+                set_cell_budget(None)
