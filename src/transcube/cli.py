@@ -270,10 +270,10 @@ def cmd_reedy(args: argparse.Namespace) -> int:
                 cmp = compare_latching_to_boundary(obj, n)
                 ok = ok and cmp.bijective
                 rows.append((f"{name} n={n}", cmp.latching_size, cmp.boundary_eval_size))
-    text = "\n".join(f"{label:16s} computed={got:4d} expected={want:4d}" for label, got, want in rows)
+    lines = [f"{label:16s} computed={got:4d} expected={want:4d}" for label, got, want in rows]
     _print(
         args,
-        text + ("\nall checks passed" if ok else "\nMISMATCH"),
+        "\n".join(lines + ["all checks passed" if ok else "MISMATCH"]),
         {"rows": [{"case": l, "computed": g, "expected": w} for l, g, w in rows], "ok": ok},
     )
     return 0 if ok else CHECK_FAILURE

@@ -49,8 +49,8 @@ class SkeletonDigraph(NamedTuple):
         nodes = sts.cubes[0]
         arcs = []
         for e in sts.cubes.get(1, ()):
-            src = sts.face[(1, 1, 0)][e]
-            dst = sts.face[(1, 1, 1)][e]
+            src = sts.tables[(1, 1, 0)][e]
+            dst = sts.tables[(1, 1, 1)][e]
             arcs.append((src, dst))
         return cls(tuple(nodes), tuple(arcs))
 

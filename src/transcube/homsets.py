@@ -246,20 +246,23 @@ def composable_pairs(top: int) -> list[tuple[CubeMap, CubeMap]]:
 
 
 @charged_cache(16)
-def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | None, CubeMap], ...]:
+def generating_family(max_dim: int) -> tuple[tuple[tuple[int, int, int] | CubeMap, CubeMap], ...]:
     """The maps whose actions determine every action, up to ``[max_dim]``.
 
-    For each ``1 <= n <= max_dim``: the elementary cofaces into ``[n]`` by
-    ``(n, i, alpha)``, then the endomaps of ``[n]`` in enumeration order.
-    Entries are ``(key, u)`` with key ``(n, i, alpha)`` for a coface and
-    ``None`` for an endomap.  Every map is an endomap followed by a composite
-    of cofaces, which is why acting by these few maps determines the rest.
-    Charges the largest endomap hom-set, ``|End([n])| << n`` cells.
+    For each ``1 <= n <= max_dim``: the elementary cofaces into ``[n]``, then
+    the endomaps of ``[n]`` in enumeration order.  Entries are ``(key, u)``:
+    a coface is keyed by its step ``(n, i, alpha)``, as
+    :attr:`Factorization.steps` holds it, and an endomap by itself, as
+    :attr:`Factorization.psi`, so one dict ``tables[key]`` holds a set's
+    whole generating action and a factorization reads it directly.  Every
+    map is an endomap followed by a composite of cofaces, which is why acting
+    by these few maps determines the rest.  Charges the largest endomap
+    hom-set, ``|End([n])| << n`` cells.
     """
-    family: list[tuple[tuple[int, int, int] | None, CubeMap]] = []
+    family: list[tuple[tuple[int, int, int] | CubeMap, CubeMap]] = []
     for n in range(1, max_dim + 1):
         family += [((n, i, a), coface(i, a, n)) for i in range(1, n + 1) for a in (0, 1)]
-        family += [(None, e) for e in enumerate_homset(n, n)]
+        family += [(e, e) for e in enumerate_homset(n, n)]
     return tuple(family)
 
 

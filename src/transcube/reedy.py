@@ -43,7 +43,6 @@ from .sts import (
     action_tables,
     boundary,
     check_action,
-    family_table,
 )
 
 
@@ -87,30 +86,29 @@ class CotransverseSetObj:
     """A covariant set-valued functor on cubes and cotransverse maps.
 
     ``values[n]`` is a finite set (tuple) and the action is stored on the
-    generating family: ``coface_maps[(n, i, alpha)]`` sends level ``n - 1``
-    values to level ``n`` ones, ``endo_maps[n][e]`` acts on level ``n``.
-    A general map applies its endomap part first, then the elementary
-    cofaces bottom-up.
+    generating family in the layout of :class:`transcube.sts.Sts`, one table
+    per generator: ``tables[(n, i, alpha)]`` sends level ``n - 1`` values to
+    level ``n`` ones along the elementary coface, ``tables[e]`` acts on
+    level ``n`` by the endomap ``e`` of ``[n]``.  A general map applies its
+    endomap part first, then the elementary cofaces bottom-up.
     """
 
     def __init__(
         self,
         max_dim: int,
         values: Mapping[int, tuple[Hashable, ...]],
-        coface_maps: Mapping[tuple[int, int, int], Mapping[Hashable, Hashable]],
-        endo_maps: Mapping[int, Mapping[CubeMap, Mapping[Hashable, Hashable]]],
+        tables: Mapping[Hashable, Mapping[Hashable, Hashable]],
     ) -> None:
         self.max_dim = max_dim
         self.values = {n: tuple(values.get(n, ())) for n in range(max_dim + 1)}
-        self.coface_maps = dict(coface_maps)  # the tables themselves are shared, never mutated
-        self.endo_maps = {n: dict(by) for n, by in endo_maps.items()}
+        self.tables = dict(tables)  # the tables themselves are shared, never mutated
 
     def apply(self, f: CubeMap, a: Hashable) -> Hashable:
         fac = factorize(f)
         if f.dom_dim > 0:
-            a = self.endo_maps[f.dom_dim][fac.psi][a]
-        for dim, i, alpha in fac.steps:
-            a = self.coface_maps[(dim, i, alpha)][a]
+            a = self.tables[fac.psi][a]
+        for step in fac.steps:
+            a = self.tables[step][a]
         return a
 
     def check_functorial(self, exhaustive_dim: int) -> None:
@@ -125,8 +123,7 @@ def built_obj(
     """Materialize the generating-family tables from an action rule."""
     charge(max_dim + 1, "the levels of a cotransverse object of dimension %s", max_dim)
     vals = [tuple(values(n)) for n in range(max_dim + 1)]
-    coface_maps, endo_maps = action_tables(vals, act, contravariant=False)
-    return CotransverseSetObj(max_dim, dict(enumerate(vals)), coface_maps, endo_maps)
+    return CotransverseSetObj(max_dim, dict(enumerate(vals)), action_tables(vals, act, contravariant=False))
 
 
 def constant_obj(points: tuple[Hashable, ...], max_dim: int) -> CotransverseSetObj:
@@ -168,8 +165,8 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     quot = QuotientSet(elements)
     for key, u in generating_family(top):
         m, n = u.dom_dim, u.cod_dim
-        amap = family_table(a_obj.coface_maps, a_obj.endo_maps, key, u)
-        for c, uc in family_table(k_sts.face, k_sts.endo, key, u).items():
+        amap = a_obj.tables[key]
+        for c, uc in k_sts.tables[key].items():
             for a in a_obj.values[m]:
                 quot.identify((m, uc, a), (n, c, amap[a]))
     return quot
@@ -180,8 +177,7 @@ def _maps_into(q: int, top: int) -> Sts:
     """The maps into ``[q]`` from levels up to ``[top]``, acting by
     precomposition, with the maps themselves as cube ids."""
     graded = [enumerate_homset(m, q) for m in range(top + 1)]
-    face, endo = action_tables(graded, lambda u, h: compose(h, u), contravariant=True)
-    return Sts(top, dict(enumerate(graded)), face, endo)
+    return Sts(top, dict(enumerate(graded)), action_tables(graded, lambda u, h: compose(h, u), contravariant=True))
 
 
 @charged_cache(BUILD_CACHE_MAXSIZE)

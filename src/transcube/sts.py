@@ -2,9 +2,9 @@
 
 A symmetric transverse set is a graded family of cube sets together with a
 contravariant action of every cotransverse map.  Since every map factors
-uniquely as a coface composite after an endomap, storing the action of the
-elementary cofaces and of the endomaps of each dimension determines the
-whole action; :meth:`Sts.act` extends by factorization on demand.
+uniquely as a coface composite after an endomap, storing one table per
+elementary coface and per endomap of each dimension determines the whole
+action; :meth:`Sts.act` extends by factorization on demand.
 
 Builders cover the standard constructions: representables (all maps into a
 fixed cube, acting by precomposition), truncations and boundaries, free
@@ -42,26 +42,26 @@ class Sts:
     """Graded cube sets plus the contravariant action of a generating family.
 
     ``cubes[n]`` lists the cube ids of dimension ``n`` in construction
-    order.  ``face[(n, i, alpha)]`` is the pullback along the elementary
-    coface inserting ``alpha`` at coordinate ``i`` (a map from dimension
-    ``n`` cubes to dimension ``n-1`` cubes) and ``endo[n][e]`` the pullback
-    along the endomap ``e``.  ``labels`` optionally carries a descriptive
-    payload per cube (the hom element of a representable, the normal form
-    of a free cell, ...).
+    order.  ``tables[key]`` is the pullback along the generator ``(key, u)``
+    of :func:`~transcube.homsets.generating_family`, from the cubes of
+    dimension ``u.cod_dim`` to those of dimension ``u.dom_dim``: the key of
+    an elementary coface is its step ``(n, i, alpha)`` of
+    :attr:`~transcube.homsets.Factorization.steps`, that of an endomap the
+    endomap itself.  ``labels`` optionally carries a descriptive payload per
+    cube (the hom element of a representable, the normal form of a free
+    cell, ...).
     """
 
     def __init__(
         self,
         max_dim: int,
         cubes: Mapping[int, tuple[int, ...]],
-        face: Mapping[tuple[int, int, int], Mapping[int, int]],
-        endo: Mapping[int, Mapping[CubeMap, Mapping[int, int]]],
+        tables: Mapping[Hashable, Mapping[int, int]],
         labels: Mapping[int, object] | None = None,
     ) -> None:
         self.max_dim = max_dim
         self.cubes = {n: tuple(cubes.get(n, ())) for n in range(max_dim + 1)}
-        self.face = dict(face)  # the tables themselves are shared, never mutated
-        self.endo = {n: dict(by) for n, by in endo.items()}
+        self.tables = dict(tables)  # the tables themselves are shared, never mutated
         self.labels = dict(labels or {})
         self.dim_of: dict[int, int] = {}
         for n, ids in self.cubes.items():
@@ -91,10 +91,10 @@ class Sts:
             raise ValueError(f"map into [{f.cod_dim}] cannot act on a {n}-cube")
         fac = factorize(f)
         c = cube_id
-        for dim, i, alpha in reversed(fac.steps):
-            c = self.face[(dim, i, alpha)][c]
+        for step in reversed(fac.steps):
+            c = self.tables[step][c]
         if f.dom_dim > 0:
-            c = self.endo[f.dom_dim][fac.psi][c]
+            c = self.tables[fac.psi][c]
         return c
 
     def vertex_of(self, cube_id: int, bits: int) -> int:
@@ -117,42 +117,28 @@ def check_functoriality(sts: Sts, exhaustive_dim: int = 3) -> None:
     check_action(sts.cubes, sts.act, True, min(sts.max_dim, exhaustive_dim))
 
 
-def family_table(face: Mapping, endo: Mapping, key: tuple[int, int, int] | None, u: CubeMap) -> dict:
-    """The stored table of a generator ``(key, u)`` of :func:`generating_family`:
-    ``face[key]`` for an elementary coface, ``endo[n][u]`` for an endomap of
-    ``[n]``.  Contravariant (:class:`Sts`) and covariant
-    (:class:`transcube.reedy.CotransverseSetObj`) actions share this layout."""
-    return endo[u.cod_dim][u] if key is None else face[key]
-
-
 def action_tables(
     graded: Sequence[Sequence[Hashable]],
     act: Callable[[CubeMap, Hashable], Hashable],
     contravariant: bool,
-) -> tuple[dict, dict]:
+) -> dict[Hashable, dict]:
     """Materialize the action of the generating family from one rule.
 
     ``graded[n]`` lists the elements of level ``n``.  A generator
-    ``u: [m] -> [n]`` gets the table ``x -> act(u, x)`` over level ``n``
-    when ``contravariant`` (the results lie at level ``m``) and over level
-    ``m`` otherwise (the results lie at level ``n``).  Returns ``(face,
-    endo)`` in the layout read by :func:`family_table`.  The entries about
-    to be written are charged against the cell budget first: the endomap
-    monoids grow fast enough that materializing dimension 4 representables
-    would need tens of millions of entries.
+    ``(key, u)`` of :func:`generating_family`, ``u: [m] -> [n]``, gets the
+    table ``tables[key]``: ``x -> act(u, x)`` over level ``n`` when
+    ``contravariant`` (the results lie at level ``m``) and over level ``m``
+    otherwise (the results lie at level ``n``).  Contravariant
+    (:class:`Sts`) and covariant (:class:`transcube.reedy.CotransverseSetObj`)
+    actions share this layout.  The entries about to be written are charged
+    against the cell budget first: the endomap monoids grow fast enough
+    that materializing dimension 4 representables would need tens of
+    millions of entries.
     """
     family = generating_family(len(graded) - 1)
     sources = [graded[u.cod_dim if contravariant else u.dom_dim] for _, u in family]
     charge(sum(len(level) for level in sources), "action tables")
-    face: dict[tuple[int, int, int], dict] = {}
-    endo: dict[int, dict[CubeMap, dict]] = {n: {} for n in range(1, len(graded))}
-    for (key, u), level in zip(family, sources):
-        table = {x: act(u, x) for x in level}
-        if key is None:
-            endo[u.cod_dim][u] = table
-        else:
-            face[key] = table
-    return face, endo
+    return {key: {x: act(u, x) for x in level} for (key, u), level in zip(family, sources)}
 
 
 def check_action(
@@ -193,10 +179,10 @@ def _build(graded: list[list[object]], act: Callable[[CubeMap, object], object])
     """
     cubes, labels = _number(graded)
     ids = {(n, labels[c]): c for n, row in cubes.items() for c in row}
-    face, endo = action_tables(
+    tables = action_tables(
         list(cubes.values()), lambda u, c: ids[(u.dom_dim, act(u, labels[c]))], contravariant=True
     )
-    return Sts(len(graded) - 1, cubes, face, endo, labels)
+    return Sts(len(graded) - 1, cubes, tables, labels)
 
 
 def empty_sts(max_dim: int) -> Sts:
@@ -218,7 +204,7 @@ def _hom_sts(n: int, top: int, below: int) -> Sts:
 
 def _new(sts: Sts) -> Sts:
     """A new set over the tables of a cached one."""
-    return Sts(sts.max_dim, sts.cubes, sts.face, sts.endo, sts.labels)
+    return Sts(sts.max_dim, sts.cubes, sts.tables, sts.labels)
 
 
 def representable(n: int, max_dim: int | None = None) -> Sts:
@@ -232,17 +218,18 @@ def representable(n: int, max_dim: int | None = None) -> Sts:
 
 def generator_tables(sts: Sts) -> dict[CubeMap, dict[int, int]]:
     """The stored table of every generator up to ``sts.max_dim``, keyed by
-    the generating map itself."""
-    return {u: family_table(sts.face, sts.endo, key, u) for key, u in generating_family(sts.max_dim)}
+    the generating map itself: one lookup per entry for the builders that
+    restate a whole action, where :meth:`Sts.act` would factorize."""
+    return {u: sts.tables[key] for key, u in generating_family(sts.max_dim)}
 
 
 def truncate(sts: Sts, n: int) -> Sts:
     """Kill every cube of dimension above ``n``; the action restricts."""
     graded = [sts.cubes[m] if m <= n else () for m in range(sts.max_dim + 1)]
     tables = generator_tables(sts)
-    face, endo = action_tables(graded, lambda u, c: tables[u][c], contravariant=True)
+    restricted = action_tables(graded, lambda u, c: tables[u][c], contravariant=True)
     labels = {c: sts.labels.get(c) for row in graded for c in row}
-    return Sts(sts.max_dim, dict(enumerate(graded)), face, endo, labels)
+    return Sts(sts.max_dim, dict(enumerate(graded)), restricted, labels)
 
 
 def boundary(n: int, max_dim: int | None = None) -> Sts:
@@ -271,10 +258,10 @@ class StsMap(Frozen):
                 raise InputError(f"mapping names cube {c}, which is not a cube of the source")
         # A source cube above dst.max_dim already failed the dimension check.
         for key, u in generating_family(min(src.max_dim, dst.max_dim)):
-            dst_table = family_table(dst.face, dst.endo, key, u)
-            for c, uc in family_table(src.face, src.endo, key, u).items():
+            dst_table = dst.tables[key]
+            for c, uc in src.tables[key].items():
                 if dst_table[mapping[c]] != mapping[uc]:
-                    kind = "endomap" if key is None else "face"
+                    kind = "endomap" if key is u else "face"
                     raise InputError(f"mapping not equivariant at {kind} of cube {c}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
@@ -424,8 +411,7 @@ def _cellular(levels: Sequence[Sequence[int]], faces: Mapping[tuple[int, int, in
         b, e = at[(levels[n][b], *steps[j])]
         return cubes[m][b * len(endos[m]) + (rows[m][endos[m][targets[j]]][0][e] if m else 0)]
 
-    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
-    return Sts(top, cubes, face, endo, labels)
+    return Sts(top, cubes, action_tables(list(cubes.values()), act, contravariant=True), labels)
 
 
 def free_sts(k: Precubical) -> Sts:
@@ -511,8 +497,7 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
         side, t = labels[c][0]
         return new_id[side][tables[side][u][t]]
 
-    face, endo = action_tables(list(cubes.values()), act, contravariant=True)
-    out = Sts(max_dim, cubes, face, endo, labels)
+    out = Sts(max_dim, cubes, action_tables(list(cubes.values()), act, contravariant=True), labels)
     return PushoutResult(out, StsMap(left, out, new_id["L"]), StsMap(right, out, new_id["R"]))
 
 
@@ -590,7 +575,7 @@ def endo_fixed_cubes(sts: Sts, n: int) -> dict[CubeMap, tuple[int, ...]]:
     for e in enumerate_homset(n, n):
         if e.is_identity():
             continue
-        fixed = tuple(c for c in sts.cubes[n] if sts.endo[n][e][c] == c)
+        fixed = tuple(c for c in sts.cubes[n] if sts.tables[e][c] == c)
         if fixed:
             out[e] = fixed
     return out
@@ -618,9 +603,7 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
     # Generator tables of a and b, by the dimension of the cubes they act on.
     gens: dict[int, list[tuple[dict, dict]]] = {}
     for key, u in generating_family(min(a.max_dim, b.max_dim)):
-        gens.setdefault(u.cod_dim, []).append(
-            (family_table(a.face, a.endo, key, u), family_table(b.face, b.endo, key, u))
-        )
+        gens.setdefault(u.cod_dim, []).append((a.tables[key], b.tables[key]))
 
     def pin(c: int, d: int) -> list[tuple[int, int]] | None:
         """Pin ``c -> d`` and every image it forces through the generating

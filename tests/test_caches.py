@@ -53,8 +53,7 @@ def dump(s: Sts) -> tuple:
         s.max_dim,
         list(s.cubes.items()),
         list(s.labels.items()),
-        [(key, list(table.items())) for key, table in s.face.items()],
-        [(n, [(u, list(table.items())) for u, table in by.items()]) for n, by in s.endo.items()],
+        [(key, list(table.items())) for key, table in s.tables.items()],
     )
 
 
@@ -132,7 +131,7 @@ def test_free_sets_are_cellular(build):
 @pytest.mark.parametrize("n, max_dim", [(n, None) for n in range(4)] + [(0, 2), (1, 3), (2, 3)])
 def test_cached_builds_equal_cold_ones(builder, n, max_dim):
     warm = builder(n, max_dim)
-    assert builder(n, max_dim) is not warm and builder(n, max_dim).face is not warm.face
+    assert builder(n, max_dim) is not warm and builder(n, max_dim).tables is not warm.tables
     sts._hom_sts.cache_clear()
     assert dump(builder(n, max_dim)) == dump(warm)
 
@@ -140,8 +139,7 @@ def test_cached_builds_equal_cold_ones(builder, n, max_dim):
 def test_a_caller_cannot_change_the_cached_tables():
     r2 = representable(2)
     expected = dump(r2)
-    r2.face.clear()
-    r2.endo.clear()
+    r2.tables.clear()
     r2.labels.clear()
     r2.cubes[0] = ()
     assert dump(representable(2)) == expected
@@ -259,7 +257,7 @@ def test_free_sts_charges_as_its_tables():
     k = cube_precubical(3)
     needed = _smallest_budget(lambda: free_sts(k), sts._free_rows.cache_clear)
     expected = free_sts(k)
-    entries = sum(map(len, expected.face.values())) + sum(len(t) for by in expected.endo.values() for t in by.values())
+    entries = sum(map(len, expected.tables.values()))
     assert needed == entries
 
 

@@ -210,6 +210,13 @@ def test_reedy_table(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("check", ["boundary-hom", "latching"])
+def test_reedy_below_dimension_zero_prints_only_the_verdict(capsys, check):
+    assert run(capsys, "reedy", "--check", check, "--max-dim", "-1") == (0, "all checks passed\n")
+    json_out = run(capsys, "--format", "json", "reedy", "--check", check, "--max-dim", "-1")
+    assert json_out == (0, '{"ok": true, "rows": []}\n')
+
+
 def test_check_suite_and_determinism(capsys):
     code, out = run(capsys, "check", "metric-axioms", "--max-dim", "2", "--seed", "7")
     assert code == 0 and "failures=0" in out
@@ -243,7 +250,7 @@ def test_machine_output_stable_across_processes():
     outs = set()
     for seed in ("0", "354961"):
         env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
@@ -361,7 +368,7 @@ def _child(*args: str):
 
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(transcube.__file__)))
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
 def _imported(importtime_log: str) -> set[str]:

@@ -140,15 +140,15 @@ def test_covariant_build_charges_budget(monkeypatch):
         hom_obj(1, 3)
 
 
-def _entries(face, endo) -> int:
-    return sum(len(t) for t in face.values()) + sum(len(t) for by in endo.values() for t in by.values())
+def _entries(tables) -> int:
+    return sum(len(t) for t in tables.values())
 
 
 def test_budget_charge_is_the_entries_written(monkeypatch):
     # both variances are charged exactly the number of entries they store
     builds = [
-        (lambda: hom_obj(1, 3), lambda o: _entries(o.coface_maps, o.endo_maps)),
-        (lambda: representable(2), lambda s: _entries(s.face, s.endo)),
+        (lambda: hom_obj(1, 3), lambda o: _entries(o.tables)),
+        (lambda: representable(2), lambda s: _entries(s.tables)),
     ]
     for build, entries in builds:
         needed = entries(build())

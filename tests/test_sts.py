@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from transcube import cube, homsets
+from transcube import cube, homsets, reedy
 from transcube import sts as sts_module
 from transcube.cube import coface, compose, identity, max_min_collapse, min_max_collapse
 from transcube.cube import InputError
@@ -48,7 +48,7 @@ def test_truncate_at_max_dim_is_identity():
     r2 = representable(2)
     t = truncate(r2, 2)
     assert t.counts() == r2.counts()
-    assert t.face == r2.face and t.endo == r2.endo
+    assert t.tables == r2.tables
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -319,9 +319,7 @@ def test_pushout_charges_its_table_entries(monkeypatch):
     r2, b2 = representable(2), boundary(2)
     legs = inclusion_map(b2, r2), inclusion_map(b2, r2)
     glued = pushout(*legs).sts  # the square doubled along its boundary
-    needed = sum(len(t) for t in glued.face.values()) + sum(
-        len(t) for by in glued.endo.values() for t in by.values()
-    )
+    needed = sum(len(t) for t in glued.tables.values())
     monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed))
     assert pushout(*legs).sts.counts() == glued.counts()
     monkeypatch.setenv("TRANSCUBE_BUDGET", str(needed - 1))
@@ -400,9 +398,8 @@ def _relabelled(x: Sts, seed: int) -> tuple[Sts, dict[int, int]]:
     for ids in x.cubes.values():
         new.update(zip(ids, rnd.sample(ids, len(ids))))
     cubes = {n: tuple(rnd.sample([new[c] for c in ids], len(ids))) for n, ids in x.cubes.items()}
-    face = {key: {new[c]: new[d] for c, d in table.items()} for key, table in x.face.items()}
-    endo = {n: {u: {new[c]: new[d] for c, d in table.items()} for u, table in by.items()} for n, by in x.endo.items()}
-    return Sts(x.max_dim, cubes, face, endo), new
+    tables = {key: {new[c]: new[d] for c, d in table.items()} for key, table in x.tables.items()}
+    return Sts(x.max_dim, cubes, tables), new
 
 
 _RELABELLED = {
@@ -424,8 +421,8 @@ def test_find_iso_finds_every_relabelling(build):
 
 def _with_trivial_endo_action(x: Sts, n: int) -> Sts:
     """``x`` with every endomap of ``[n]`` acting as the identity on its ``n``-cubes."""
-    endo = {**x.endo, n: {u: {c: c for c in table} for u, table in x.endo[n].items()}}
-    return Sts(x.max_dim, x.cubes, x.face, endo)
+    trivial = {u: {c: c for c in x.tables[u]} for u in enumerate_homset(n, n)}
+    return Sts(x.max_dim, x.cubes, {**x.tables, **trivial})
 
 
 def _graph(edges: dict[int, tuple[int, int]]) -> Sts:
@@ -490,8 +487,7 @@ def ids_and_tables(s: Sts) -> tuple:
     return (
         s.max_dim,
         list(s.cubes.items()),
-        [(key, list(table.items())) for key, table in s.face.items()],
-        [(n, [(u, list(table.items())) for u, table in by.items()]) for n, by in s.endo.items()],
+        [(key, list(table.items())) for key, table in s.tables.items()],
     )
 
 
@@ -603,3 +599,38 @@ def test_cellular_assembly_accepts_its_pinned_budget(build, max_dim, least):
                         certify_cellular(script, max_dim)
             finally:
                 set_cell_budget(None)
+
+
+def _doubled_square() -> Sts:
+    r2, b2 = representable(2), boundary(2)
+    return pushout(inclusion_map(b2, r2), inclusion_map(b2, r2)).sts
+
+
+#: Every builder of a set or of a covariant object, each storing its action.
+_LAYOUTS = {
+    "representable(2)": lambda: representable(2),
+    "representable(1, 3)": lambda: representable(1, 3),
+    "boundary(3)": lambda: boundary(3),
+    "terminal_sts(2)": lambda: terminal_sts(2),
+    "empty_sts(2)": lambda: empty_sts(2),
+    "free_sts": lambda: free_sts(boundary_precubical(3)),
+    "certify_cellular": lambda: certify_cellular(twisted_cube_script(2), 2)[0],
+    "pushout": _doubled_square,
+    "truncate": lambda: truncate(representable(3), 1),
+    "boundary_weight(3)": lambda: reedy.boundary_weight(3),
+    "_maps_into(2, 1)": lambda: reedy._maps_into(2, 1),
+    "hom_obj(1, 3)": lambda: reedy.hom_obj(1, 3),
+    "constant_obj": lambda: reedy.constant_obj(("a", "b"), 2),
+    "free_obj": lambda: reedy.free_obj(1, ("a", "b"), 2),
+}
+
+
+@pytest.mark.parametrize("build", _LAYOUTS.values(), ids=_LAYOUTS)
+def test_every_builder_stores_one_table_per_generator(build):
+    # keyed like Factorization.steps and psi, in family order, each over the level it acts on
+    x = build()
+    family = homsets.generating_family(x.max_dim)
+    assert list(x.tables) == [key for key, _ in family]
+    for key, u in family:
+        level = x.cubes[u.cod_dim] if isinstance(x, Sts) else x.values[u.dom_dim]
+        assert list(x.tables[key]) == list(level), key
