@@ -74,7 +74,6 @@ _EXPORTS = {
         "pushout",
         "representable",
         "terminal_sts",
-        "truncate",
     ),
     "reedy": (
         "CotransverseSetObj",

@@ -332,9 +332,6 @@ class CubeMap(Frozen):
     def is_identity(self) -> bool:
         return self.is_endo() and all(self.table[k] == k for k in range(len(self.table)))
 
-    def apply_bits(self, bits: int) -> int:
-        return self.table[bits]
-
     def apply(self, v: Vertex) -> Vertex:
         if v.dim != self.dom_dim:
             raise ValueError(f"vertex of dimension {v.dim} fed to map from [{self.dom_dim}]")

@@ -316,7 +316,7 @@ class Factorization(NamedTuple):
         return compose(self.phi, self.psi)
 
 
-@lru_cache(maxsize=4096)
+@charged_cache(4096)
 def coface_part(lo: int, hi: int, n: int) -> tuple[CubeMap, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """``phi``, ``free`` and ``steps`` of :class:`Factorization` for the face
     of ``[n]`` from ``lo`` up to ``hi``, charging the ``n`` coordinates first."""
@@ -327,7 +327,7 @@ def coface_part(lo: int, hi: int, n: int) -> tuple[CubeMap, tuple[int, ...], tup
     return interned(m, n, coface_table(lo, free)), free, steps
 
 
-@lru_cache(maxsize=1 << 16)
+@charged_cache(1 << 16)
 def factorize(f: CubeMap) -> Factorization:
     """Split ``f`` into its endomap and coface parts.
 
@@ -336,7 +336,9 @@ def factorize(f: CubeMap) -> Factorization:
     coordinates, in increasing order, carry ``psi``, which is ``f`` read off
     on those coordinates.  Reconstruction is checked and a failure raises,
     which can only happen on a table that is not actually cotransverse.
-    Results are memoised: normal forms are requested constantly downstream.
+    Results are memoised, since normal forms are requested constantly
+    downstream, and every call, warm or cold, charges the ``n`` coordinates
+    of :func:`coface_part`.
     """
     m = f.dom_dim
     phi, free, steps = coface_part(f.table[0], f.table[-1], f.cod_dim)
@@ -349,7 +351,7 @@ def factorize(f: CubeMap) -> Factorization:
     return Factorization(psi, phi, free, steps)
 
 
-@lru_cache(maxsize=4096)
+@charged_cache(4096)
 def decompose_coface(phi: CubeMap) -> tuple[tuple[int, int, int], ...]:
     """The elementary insertions of a coface composite, the ``steps`` of its
     factorization; raises when ``phi`` is not a composite of cofaces."""

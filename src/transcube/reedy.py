@@ -101,7 +101,7 @@ class CotransverseSetObj:
     ) -> None:
         self.max_dim = max_dim
         self.values = {n: tuple(values.get(n, ())) for n in range(max_dim + 1)}
-        self.tables = dict(tables)  # the tables themselves are shared, never mutated
+        self.tables = dict(tables)  # the inner tables are taken as given, not copied
 
     def apply(self, f: CubeMap, a: Hashable) -> Hashable:
         fac = factorize(f)
@@ -204,7 +204,7 @@ def boundary_weight(n: int) -> Sts:
     weight has the shape of :func:`transcube.sts.boundary`.  A map ``u``
     acts by ``(m, h, g) -> class of (m, h, g o u)``; labels carry the
     representatives.  Built once per ``n``; each call returns a new set
-    over the cached tables.
+    with its own copy of the cached tables.
     """
     return _new(_weight(n))
 

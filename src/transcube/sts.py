@@ -7,18 +7,19 @@ elementary coface and per endomap of each dimension determines the whole
 action; :meth:`Sts.act` extends by factorization on demand.
 
 Builders cover the standard constructions: representables (all maps into a
-fixed cube, acting by precomposition), truncations and boundaries, free
-generation from a precubical set via normal forms, dimensionwise pushouts,
-and cell-by-cell assembly with a certificate.  Completed values are
-immutable in use: nothing here mutates a built object.
+fixed cube, acting by precomposition) and boundaries, free generation from
+a precubical set via normal forms, dimensionwise pushouts, and cell-by-cell
+assembly with a certificate.  Completed values are immutable in use:
+nothing here mutates a built object.
 
 The fixed objects are built once per key: the tables of
 :func:`representable` and :func:`boundary` and the action of each
 generator on the normal forms of a free set sit in bounded caches that
 charge the cell budget the same way warm or cold
-(:func:`transcube.homsets.charged_cache`).  Cached tables are shared and
-never mutated; the public builders return a new :class:`Sts` over them on
-every call, since a set is compared by identity.
+(:func:`transcube.homsets.charged_cache`).  The public builders return a
+new :class:`Sts` with its own copy of the cached tables on every call: a set
+is compared by identity, and a caller that writes into its tables changes
+no later copy.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Sts:
     ) -> None:
         self.max_dim = max_dim
         self.cubes = {n: tuple(cubes.get(n, ())) for n in range(max_dim + 1)}
-        self.tables = dict(tables)  # the tables themselves are shared, never mutated
+        self.tables = dict(tables)  # the inner tables are taken as given; _new copies a cached set's
         self.labels = dict(labels or {})
         self.dim_of: dict[int, int] = {}
         for n, ids in self.cubes.items():
@@ -203,8 +204,8 @@ def _hom_sts(n: int, top: int, below: int) -> Sts:
 
 
 def _new(sts: Sts) -> Sts:
-    """A new set over the tables of a cached one."""
-    return Sts(sts.max_dim, sts.cubes, sts.tables, sts.labels)
+    """A new set with its own copy of the tables of a cached one."""
+    return Sts(sts.max_dim, sts.cubes, {key: dict(t) for key, t in sts.tables.items()}, sts.labels)
 
 
 def representable(n: int, max_dim: int | None = None) -> Sts:
@@ -214,22 +215,6 @@ def representable(n: int, max_dim: int | None = None) -> Sts:
     precomposition.  Labels are the hom elements themselves.
     """
     return _new(_hom_sts(n, n if max_dim is None else max_dim, n + 1))
-
-
-def generator_tables(sts: Sts) -> dict[CubeMap, dict[int, int]]:
-    """The stored table of every generator up to ``sts.max_dim``, keyed by
-    the generating map itself: one lookup per entry for the builders that
-    restate a whole action, where :meth:`Sts.act` would factorize."""
-    return {u: sts.tables[key] for key, u in generating_family(sts.max_dim)}
-
-
-def truncate(sts: Sts, n: int) -> Sts:
-    """Kill every cube of dimension above ``n``; the action restricts."""
-    graded = [sts.cubes[m] if m <= n else () for m in range(sts.max_dim + 1)]
-    tables = generator_tables(sts)
-    restricted = action_tables(graded, lambda u, c: tables[u][c], contravariant=True)
-    labels = {c: sts.labels.get(c) for row in graded for c in row}
-    return Sts(sts.max_dim, dict(enumerate(graded)), restricted, labels)
 
 
 def boundary(n: int, max_dim: int | None = None) -> Sts:
@@ -489,7 +474,8 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
     for c, cls in labels.items():
         for side, t in cls:
             new_id[side][t] = c
-    tables = {side: generator_tables(obj) for side, obj in sides.items()}
+    # each side's stored tables, keyed by the generating map that action_tables passes to act
+    tables = {side: {u: obj.tables[key] for key, u in generating_family(obj.max_dim)} for side, obj in sides.items()}
 
     def act(u: CubeMap, c: int) -> int:
         # Any member will do: the two maps into the result below check that

@@ -181,12 +181,3 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
 
 def format_point(x: Sequence) -> str:
     return ",".join(str(c) for c in x)
-
-
-def vertex_coords(bits: int, n: int) -> tuple[int, ...]:
-    return tuple((bits >> i) & 1 for i in range(n))
-
-
-def eval_at_vertex(f: CubeMap, bits: int) -> tuple[int, ...]:
-    """Topologized evaluation restricted to a vertex equals the table entry."""
-    return vertex_coords(f.table[bits], f.cod_dim)

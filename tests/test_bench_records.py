@@ -13,12 +13,14 @@ bench_records = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_records)
 
 
-def _run(tmp_path: Path, name: str, seed: int, commit: str, ops: float, failed: int = 0) -> Path:
+def _run(
+    tmp_path: Path, name: str, seed: int, commit: str, ops: float, failed: int = 0, source: str = "abc123"
+) -> Path:
     record = {
         "workload": "cli-cold",
         "seed": seed,
         "git_commit": commit,
-        "environment": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "source_digest": "abc123"},
+        "environment": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "source_digest": source},
     }
     result = {
         "correct": failed == 0,
@@ -34,19 +36,26 @@ def _run(tmp_path: Path, name: str, seed: int, commit: str, ops: float, failed: 
 def test_runs_become_one_median_record_per_metric_and_commit(tmp_path):
     paths = [
         _run(tmp_path, "a1", 2, "f2a0a28", 8.0),
-        _run(tmp_path, "a2", 1, "f2a0a28", 9.0),
+        _run(tmp_path, "a2", 1, "unknown (not a git checkout)", 9.0),
         _run(tmp_path, "a3", 3, "f2a0a28", 7.0),
-        _run(tmp_path, "b1", 1, "unknown (not a git checkout)", 10.0),
+        _run(tmp_path, "b1", 1, "unknown (not a git checkout)", 10.0, source="def456"),
     ]
-    got = {(r["commit"], r["metric"]): r for r in bench_records.records(paths)}
+    got = {(r["source"], r["metric"]): r for r in bench_records.records(paths)}
     assert set(got) == {
-        ("f2a0a28", "ops_per_s"), ("f2a0a28", "op_p50_ms"), ("source abc123", "ops_per_s"), ("source abc123", "op_p50_ms")
+        ("abc123", "ops_per_s"), ("abc123", "op_p50_ms"), ("def456", "ops_per_s"), ("def456", "op_p50_ms")
     }
-    assert got["f2a0a28", "ops_per_s"] == {
+    assert got["abc123", "ops_per_s"] == {
         "workload": "cli-cold", "metric": "ops_per_s", "value": 8.0, "unit": "req/s", "seeds": [1, 2, 3],
-        "commit": "f2a0a28", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
+        "source": "abc123", "commit": "f2a0a28", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
     }
-    assert got["source abc123", "op_p50_ms"]["value"] == 100.0
+    assert got["def456", "op_p50_ms"]["value"] == 100.0
+    assert got["def456", "op_p50_ms"]["commit"] is None
+
+
+def test_one_source_from_two_commits_is_refused(tmp_path):
+    paths = [_run(tmp_path, "a1", 1, "f2a0a28", 8.0), _run(tmp_path, "a2", 2, "0188082", 9.0)]
+    with pytest.raises(SystemExit, match="different commits"):
+        bench_records.records(paths)
 
 
 def test_a_run_with_failed_requests_is_refused(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 
 import transcube
 from transcube import homsets, paths, reedy, sts
-from transcube.cube import Vertex, compose
+from transcube.cube import CubeMap, Vertex, compose
 from transcube.homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
-from transcube.paths import induced_path_map
+from transcube.paths import induced_coface, induced_path_map
 from transcube.reedy import boundary_hom, boundary_weight
 from transcube.sts import (
     FreeCell,
@@ -136,13 +136,15 @@ def test_cached_builds_equal_cold_ones(builder, n, max_dim):
     assert dump(builder(n, max_dim)) == dump(warm)
 
 
-def test_a_caller_cannot_change_the_cached_tables():
-    r2 = representable(2)
-    expected = dump(r2)
-    r2.tables.clear()
-    r2.labels.clear()
-    r2.cubes[0] = ()
-    assert dump(representable(2)) == expected
+@pytest.mark.parametrize("build", [representable, boundary, boundary_weight], ids=lambda b: b.__name__)
+def test_a_caller_cannot_change_the_cached_tables(build):
+    s = build(2)
+    expected = dump(s)
+    s.tables[(1, 1, 0)].clear()
+    s.tables.clear()
+    s.labels.clear()
+    s.cubes[0] = ()
+    assert dump(build(2)) == expected
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -211,6 +213,8 @@ _CACHED_BUILDS = {
     "boundary_weight(3)": (lambda: boundary_weight(3), reedy._weight),
     "free rows of [3]": (lambda: sts._free_rows(3), sts._free_rows),
     "latching frame of [3]": (lambda: reedy._weight_to_boundary(3), reedy._weight_to_boundary),
+    "factorize(1>2:0,1)": (lambda: factorize(CubeMap.from_literal("1>2:0,1")), homsets.factorize),
+    "induced_coface(0, 1 in [3])": (lambda: induced_coface(Vertex(3, 0), Vertex(3, 1)), homsets.coface_part),
 }
 
 

@@ -691,6 +691,13 @@ def test_count_only_refuses_a_negative_dimension(capsys):
     assert capsys.readouterr().err == "error: dimensions must be nonnegative\n"
 
 
+def test_a_factored_map_is_charged_again(capsys):
+    # the face of [2] it spans costs its 2 coordinates, warm as cold
+    assert main(["factor", "--map", "1>2:0,1"]) == 0
+    assert main(["--budget", "0", "factor", "--map", "1>2:0,1"]) == 3
+    assert capsys.readouterr().err == "budget: factorize(1>2:0,1) needs 2 cells, over the budget of 0\n"
+
+
 def _accepts(argv: list[str], budget: int, cold) -> bool:
     cold()
     code = main(["--budget", str(budget), *argv])

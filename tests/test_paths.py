@@ -167,7 +167,7 @@ def test_naturality_certificate():
 def test_induced_coface_examples():
     delta = induced_coface(Vertex.from_coords((0, 1, 0)), Vertex.from_coords((1, 1, 1)))
     assert delta.dom_dim == 2
-    assert [delta.apply_bits(b) for b in range(4)] == [0b010, 0b011, 0b110, 0b111]
+    assert [delta.table[b] for b in range(4)] == [0b010, 0b011, 0b110, 0b111]
     assert induced_coface(Vertex(2, 0), Vertex(2, 3)).is_identity()
     assert induced_coface(Vertex.from_coords((0, 0)), Vertex.from_coords((0, 1))).table == (
         0b00,

@@ -14,17 +14,24 @@ from transcube.topo import (
     d1_point,
     d1_sym,
     d1_sym_witness,
-    eval_at_vertex,
     format_point,
     parse_point,
     point_height,
     t_eval,
     t_eval_maxmin,
     t_eval_permutation,
-    vertex_coords,
 )
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+def vertex_coords(bits: int, n: int) -> tuple[int, ...]:
+    return tuple((bits >> i) & 1 for i in range(n))
+
+
+def eval_at_vertex(f, bits: int) -> tuple[int, ...]:
+    """The reference evaluation at a vertex: the coordinates of its table entry."""
+    return vertex_coords(f.table[bits], f.cod_dim)
 
 
 def test_collapse3_components_match_hand_expansion(cube3_collapse):

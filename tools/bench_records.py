@@ -4,14 +4,16 @@
 
 Each ``OUT`` holds the printed output of one ``benchmarks/run.py`` run: its
 ``record {...}`` line and, last, its result line.  Runs are grouped by
-workload and by the code they measured: the record's git commit, or
-``source <digest>`` (the digest of ``src/`` the record carries) for a run
-made outside a git checkout.  Every metric of a group becomes one record
-``{workload, metric, value, unit, seeds, commit, python, numpy, nproc}``:
-the median of the group's runs, with the seeds of those runs.  A timing no
-request of a run sampled (a layer the workload does not reach) is left out
-of that run.  A run whose outputs were not all correct, or a group whose
-runs disagree on the environment, stops the script with an error.
+workload and by the code they measured: the digest of ``src/`` that every
+run record carries, so the change side of one file joins the parent side
+of the next.  Every metric of a group becomes one record
+``{workload, metric, value, unit, seeds, source, commit, python, numpy,
+nproc}``: the median of the group's runs, with the seeds of those runs,
+the source digest and the git commit (``null`` when no run of the group
+was made in a git checkout).  A timing no request of a run sampled (a
+layer the workload does not reach) is left out of that run.  A run whose
+outputs were not all correct, or a group whose runs disagree on the
+environment or name different commits, stops the script with an error.
 """
 
 from __future__ import annotations
@@ -36,22 +38,21 @@ def read_run(path: Path) -> tuple[dict, dict]:
     return records[0], result
 
 
-def commit_of(record: dict) -> str:
-    commit = record["git_commit"]
-    return f"source {record['environment']['source_digest']}" if commit.startswith("unknown") else commit
-
-
 def records(paths: list[Path]) -> list[dict]:
     groups: dict[tuple[str, str], list[tuple[dict, dict]]] = {}
     for path in paths:
         record, result = read_run(path)
-        groups.setdefault((record["workload"], commit_of(record)), []).append((record, result))
+        groups.setdefault((record["workload"], record["environment"]["source_digest"]), []).append((record, result))
     out = []
-    for (workload, commit), runs in sorted(groups.items()):
+    for (workload, source), runs in sorted(groups.items()):
         environments = {tuple(record["environment"][key] for key in ENVIRONMENT) for record, _ in runs}
         if len(environments) != 1:
-            raise SystemExit(f"{workload} at {commit}: runs from different environments {sorted(environments)}")
+            raise SystemExit(f"{workload} at {source}: runs from different environments {sorted(environments)}")
         environment = dict(zip(ENVIRONMENT, environments.pop()))
+        commits = {record["git_commit"] for record, _ in runs if not record["git_commit"].startswith("unknown")}
+        if len(commits) > 1:
+            raise SystemExit(f"{workload} at {source}: runs from different commits {sorted(commits)}")
+        commit = commits.pop() if commits else None
         by_metric: dict[str, list[tuple[int, float, str]]] = {}
         for record, result in runs:
             for metric, entry in result["metrics"].items():
@@ -65,6 +66,7 @@ def records(paths: list[Path]) -> list[dict]:
                 "value": median(value for _, value, _ in values),
                 "unit": values[0][2],
                 "seeds": sorted(seed for seed, _, _ in values),
+                "source": source,
                 "commit": commit,
                 **environment,
             })
