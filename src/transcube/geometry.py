@@ -46,13 +46,8 @@ class SkeletonDigraph(NamedTuple):
 
     @classmethod
     def of(cls, sts: Sts) -> SkeletonDigraph:
-        nodes = sts.cubes[0]
-        arcs = []
-        for e in sts.cubes.get(1, ()):
-            src = sts.tables[(1, 1, 0)][e]
-            dst = sts.tables[(1, 1, 1)][e]
-            arcs.append((src, dst))
-        return cls(tuple(nodes), tuple(arcs))
+        ends = (sts.tables.get((1, 1, alpha), ()) for alpha in (0, 1))  # the 0- and 1-end of each edge
+        return cls(sts.cubes[0], tuple(zip(*ends)))
 
 
 def _shortest(adj: dict[object, list[tuple[object, int]]], source, target) -> int | float:

@@ -85,30 +85,33 @@ def matching_emptiness_check(n: int, m: int) -> bool:
 class CotransverseSetObj:
     """A covariant set-valued functor on cubes and cotransverse maps.
 
-    ``values[n]`` is a finite set (tuple) and the action is stored on the
-    generating family in the layout of :class:`transcube.sts.Sts`, one table
-    per generator: ``tables[(n, i, alpha)]`` sends level ``n - 1`` values to
-    level ``n`` ones along the elementary coface, ``tables[e]`` acts on
-    level ``n`` by the endomap ``e`` of ``[n]``.  A general map applies its
-    endomap part first, then the elementary cofaces bottom-up.
+    ``values[n]`` is a finite set (tuple), ``pos[n][a]`` the position of
+    ``a`` in it, and the action is stored on the generating family in the
+    layout of :class:`transcube.sts.Sts`, one tuple per generator, indexed
+    by position in its source level: ``tables[(n, i, alpha)]`` sends level
+    ``n - 1`` values to level ``n`` ones along the elementary coface,
+    ``tables[e]`` acts on level ``n`` by the endomap ``e`` of ``[n]``.  A
+    general map applies its endomap part first, then the elementary cofaces
+    bottom-up.
     """
 
     def __init__(
         self,
         max_dim: int,
         values: Mapping[int, tuple[Hashable, ...]],
-        tables: Mapping[Hashable, Mapping[Hashable, Hashable]],
+        tables: Mapping[Hashable, tuple[Hashable, ...]],
     ) -> None:
         self.max_dim = max_dim
         self.values = {n: tuple(values.get(n, ())) for n in range(max_dim + 1)}
-        self.tables = dict(tables)  # the inner tables are taken as given, not copied
+        self.pos = {n: {a: i for i, a in enumerate(vals)} for n, vals in self.values.items()}
+        self.tables = dict(tables)
 
     def apply(self, f: CubeMap, a: Hashable) -> Hashable:
         fac = factorize(f)
         if f.dom_dim > 0:
-            a = self.tables[fac.psi][a]
-        for step in fac.steps:
-            a = self.tables[step][a]
+            a = self.tables[fac.psi][self.pos[f.dom_dim][a]]
+        for step in fac.steps:  # (n, i, alpha) acts on level n - 1
+            a = self.tables[step][self.pos[step[0] - 1][a]]
         return a
 
     def check_functorial(self, exhaustive_dim: int) -> None:
@@ -166,9 +169,9 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     for key, u in generating_family(top):
         m, n = u.dom_dim, u.cod_dim
         amap = a_obj.tables[key]
-        for c, uc in k_sts.tables[key].items():
-            for a in a_obj.values[m]:
-                quot.identify((m, uc, a), (n, c, amap[a]))
+        for c, uc in zip(k_sts.cubes[n], k_sts.tables[key]):
+            for a, ua in zip(a_obj.values[m], amap):
+                quot.identify((m, uc, a), (n, c, ua))
     return quot
 
 
@@ -204,7 +207,7 @@ def boundary_weight(n: int) -> Sts:
     weight has the shape of :func:`transcube.sts.boundary`.  A map ``u``
     acts by ``(m, h, g) -> class of (m, h, g o u)``; labels carry the
     representatives.  Built once per ``n``; each call returns a new set
-    with its own copy of the cached tables.
+    sharing the cached tables.
     """
     return _new(_weight(n))
 

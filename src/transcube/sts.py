@@ -10,16 +10,16 @@ Builders cover the standard constructions: representables (all maps into a
 fixed cube, acting by precomposition) and boundaries, free generation from
 a precubical set via normal forms, dimensionwise pushouts, and cell-by-cell
 assembly with a certificate.  Completed values are immutable in use:
-nothing here mutates a built object.
+nothing here mutates a built object, and every action table is a tuple
+indexed by position in its source level, so none can be written into.
 
 The fixed objects are built once per key: the tables of
 :func:`representable` and :func:`boundary` and the action of each
 generator on the normal forms of a free set sit in bounded caches that
 charge the cell budget the same way warm or cold
 (:func:`transcube.homsets.charged_cache`).  The public builders return a
-new :class:`Sts` with its own copy of the cached tables on every call: a set
-is compared by identity, and a caller that writes into its tables changes
-no later copy.
+new :class:`Sts` on every call, since a set is compared by identity; it
+shares the cached tuples.
 """
 
 from __future__ import annotations
@@ -43,31 +43,30 @@ class Sts:
     """Graded cube sets plus the contravariant action of a generating family.
 
     ``cubes[n]`` lists the cube ids of dimension ``n`` in construction
-    order.  ``tables[key]`` is the pullback along the generator ``(key, u)``
-    of :func:`~transcube.homsets.generating_family`, from the cubes of
-    dimension ``u.cod_dim`` to those of dimension ``u.dom_dim``: the key of
-    an elementary coface is its step ``(n, i, alpha)`` of
-    :attr:`~transcube.homsets.Factorization.steps`, that of an endomap the
-    endomap itself.  ``labels`` optionally carries a descriptive payload per
-    cube (the hom element of a representable, the normal form of a free
-    cell, ...).
+    order, and ``pos[c]`` is the position of ``c`` in its level.
+    ``tables[key]`` is the pullback along the generator ``(key, u)`` of
+    :func:`~transcube.homsets.generating_family`, a tuple whose ``i``-th
+    entry is the image of ``cubes[u.cod_dim][i]`` among the cubes of
+    dimension ``u.dom_dim``: the key of an elementary coface is its step
+    ``(n, i, alpha)`` of :attr:`~transcube.homsets.Factorization.steps`,
+    that of an endomap the endomap itself.  ``labels`` optionally carries a
+    descriptive payload per cube (the hom element of a representable, the
+    normal form of a free cell, ...).
     """
 
     def __init__(
         self,
         max_dim: int,
         cubes: Mapping[int, tuple[int, ...]],
-        tables: Mapping[Hashable, Mapping[int, int]],
+        tables: Mapping[Hashable, tuple[int, ...]],
         labels: Mapping[int, object] | None = None,
     ) -> None:
         self.max_dim = max_dim
         self.cubes = {n: tuple(cubes.get(n, ())) for n in range(max_dim + 1)}
-        self.tables = dict(tables)  # the inner tables are taken as given; _new copies a cached set's
+        self.tables = dict(tables)
         self.labels = dict(labels or {})
-        self.dim_of: dict[int, int] = {}
-        for n, ids in self.cubes.items():
-            for c in ids:
-                self.dim_of[c] = n
+        self.dim_of = {c: n for n, ids in self.cubes.items() for c in ids}
+        self.pos = {c: i for ids in self.cubes.values() for i, c in enumerate(ids)}
         self._vertex_ids: dict[int, tuple[int, ...]] = {}  # per cube, filled by vertex_of
 
     # -- queries ----------------------------------------------------------
@@ -93,16 +92,16 @@ class Sts:
         fac = factorize(f)
         c = cube_id
         for step in reversed(fac.steps):
-            c = self.tables[step][c]
+            c = self.tables[step][self.pos[c]]
         if f.dom_dim > 0:
-            c = self.tables[fac.psi][c]
+            c = self.tables[fac.psi][self.pos[c]]
         return c
 
     def vertex_of(self, cube_id: int, bits: int) -> int:
-        """A vertex of a cube as a vertex of the whole set, computed once per cube."""
+        """A vertex of a cube as a vertex of the whole set: computed once per cube, charged every call."""
+        vertices = enumerate_homset(0, self.dim_of[cube_id])  # vertices[bits].table == (bits,)
         ids = self._vertex_ids.get(cube_id)
         if ids is None:
-            vertices = enumerate_homset(0, self.dim_of[cube_id])  # vertices[bits].table == (bits,)
             ids = self._vertex_ids[cube_id] = tuple(self.act(v, cube_id) for v in vertices)
         if not 0 <= bits < len(ids):
             raise ValueError(f"{bits} is not a vertex of cube {cube_id}")
@@ -127,9 +126,9 @@ def action_tables(
 
     ``graded[n]`` lists the elements of level ``n``.  A generator
     ``(key, u)`` of :func:`generating_family`, ``u: [m] -> [n]``, gets the
-    table ``tables[key]``: ``x -> act(u, x)`` over level ``n`` when
-    ``contravariant`` (the results lie at level ``m``) and over level ``m``
-    otherwise (the results lie at level ``n``).  Contravariant
+    tuple ``tables[key]`` of the ``act(u, x)`` for ``x`` in level ``n`` when
+    ``contravariant`` (the results lie at level ``m``) and in level ``m``
+    otherwise (the results lie at level ``n``), in level order.  Contravariant
     (:class:`Sts`) and covariant (:class:`transcube.reedy.CotransverseSetObj`)
     actions share this layout.  The entries about to be written are charged
     against the cell budget first: the endomap monoids grow fast enough
@@ -139,7 +138,7 @@ def action_tables(
     family = generating_family(len(graded) - 1)
     sources = [graded[u.cod_dim if contravariant else u.dom_dim] for _, u in family]
     charge(sum(len(level) for level in sources), "action tables")
-    return {key: {x: act(u, x) for x in level} for (key, u), level in zip(family, sources)}
+    return {key: tuple([act(u, x) for x in level]) for (key, u), level in zip(family, sources)}
 
 
 def check_action(
@@ -204,8 +203,8 @@ def _hom_sts(n: int, top: int, below: int) -> Sts:
 
 
 def _new(sts: Sts) -> Sts:
-    """A new set with its own copy of the tables of a cached one."""
-    return Sts(sts.max_dim, sts.cubes, {key: dict(t) for key, t in sts.tables.items()}, sts.labels)
+    """A new set sharing the read-only tables of a cached one."""
+    return Sts(sts.max_dim, sts.cubes, sts.tables, sts.labels)
 
 
 def representable(n: int, max_dim: int | None = None) -> Sts:
@@ -244,8 +243,8 @@ class StsMap(Frozen):
         # A source cube above dst.max_dim already failed the dimension check.
         for key, u in generating_family(min(src.max_dim, dst.max_dim)):
             dst_table = dst.tables[key]
-            for c, uc in src.tables[key].items():
-                if dst_table[mapping[c]] != mapping[uc]:
+            for c, uc in zip(src.cubes[u.cod_dim], src.tables[key]):
+                if dst_table[dst.pos[mapping[c]]] != mapping[uc]:
                     kind = "endomap" if key is u else "face"
                     raise InputError(f"mapping not equivariant at {kind} of cube {c}")
         object.__setattr__(self, "src", src)
@@ -474,14 +473,13 @@ def pushout(j: StsMap, l: StsMap) -> PushoutResult:
     for c, cls in labels.items():
         for side, t in cls:
             new_id[side][t] = c
-    # each side's stored tables, keyed by the generating map that action_tables passes to act
-    tables = {side: {u: obj.tables[key] for key, u in generating_family(obj.max_dim)} for side, obj in sides.items()}
+    keys = {u: key for key, u in generating_family(max_dim)}  # act is passed the map, not its key
 
     def act(u: CubeMap, c: int) -> int:
         # Any member will do: the two maps into the result below check that
         # every member of every class lands on the same image.
         side, t = labels[c][0]
-        return new_id[side][tables[side][u][t]]
+        return new_id[side][sides[side].tables[keys[u]][sides[side].pos[t]]]
 
     out = Sts(max_dim, cubes, action_tables(list(cubes.values()), act, contravariant=True), labels)
     return PushoutResult(out, StsMap(left, out, new_id["L"]), StsMap(right, out, new_id["R"]))
@@ -561,7 +559,7 @@ def endo_fixed_cubes(sts: Sts, n: int) -> dict[CubeMap, tuple[int, ...]]:
     for e in enumerate_homset(n, n):
         if e.is_identity():
             continue
-        fixed = tuple(c for c in sts.cubes[n] if sts.tables[e][c] == c)
+        fixed = tuple(c for c, d in zip(sts.cubes[n], sts.tables[e]) if d == c)
         if fixed:
             out[e] = fixed
     return out
@@ -587,7 +585,7 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
     used: set[int] = set()
 
     # Generator tables of a and b, by the dimension of the cubes they act on.
-    gens: dict[int, list[tuple[dict, dict]]] = {}
+    gens: dict[int, list[tuple[tuple, tuple]]] = {}
     for key, u in generating_family(min(a.max_dim, b.max_dim)):
         gens.setdefault(u.cod_dim, []).append((a.tables[key], b.tables[key]))
 
@@ -606,7 +604,7 @@ def find_iso(a: Sts, b: Sts) -> StsMap | None:
             assignment[x] = y
             used.add(y)
             pins.append((x, y))
-            stack += [(a_table[x], b_table[y]) for a_table, b_table in gens.get(a.dim_of[x], ())]
+            stack += [(a_table[a.pos[x]], b_table[b.pos[y]]) for a_table, b_table in gens.get(a.dim_of[x], ())]
         return pins
 
     def undo(pins: list[tuple[int, int]]) -> None:

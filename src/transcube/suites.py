@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .cube import (
     CubeMap,
+    InputError,
     Slotted,
     Vertex,
     bit_height,
@@ -459,10 +460,13 @@ def run_suite(
     """Run one named suite deterministically.
 
     ``max_dim`` bounds the exhaustive part, ``scale`` the sampled part
-    (points per map, paths per dimension); both default per suite.
+    (points per map, paths per dimension); both default per suite.  A
+    negative ``scale`` is an :class:`~transcube.cube.InputError`.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
+    if scale is not None and scale < 0:
+        raise InputError(f"scale must be nonnegative, got {scale}")
     fn, default_dim, default_scale = _SUITES[name]
     report = CheckSuiteReport(suite=name)
     rnd = random.Random(seed)

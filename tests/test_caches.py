@@ -53,7 +53,7 @@ def dump(s: Sts) -> tuple:
         s.max_dim,
         list(s.cubes.items()),
         list(s.labels.items()),
-        [(key, list(table.items())) for key, table in s.tables.items()],
+        [(key, list(table)) for key, table in s.tables.items()],
     )
 
 
@@ -140,7 +140,10 @@ def test_cached_builds_equal_cold_ones(builder, n, max_dim):
 def test_a_caller_cannot_change_the_cached_tables(build):
     s = build(2)
     expected = dump(s)
-    s.tables[(1, 1, 0)].clear()
+    with pytest.raises(TypeError):
+        s.tables[(1, 1, 0)][0] = s.tables[(1, 1, 0)][-1]
+    with pytest.raises(AttributeError):
+        s.tables[(1, 1, 1)].clear()
     s.tables.clear()
     s.labels.clear()
     s.cubes[0] = ()
@@ -223,6 +226,19 @@ def test_warm_and_cold_calls_accept_the_same_budgets(call, cache):
     warm = _smallest_budget(call, lambda: None)
     assert warm > 0
     assert _smallest_budget(call, cache.cache_clear) == warm
+
+
+def test_warm_vertex_of_charges_as_a_cold_one():
+    # the 2^3 vertices of the top cube of [3] are charged on every call
+    r3 = [representable(3)]
+    top = r3[0].cubes[3][-1]
+
+    def fresh():
+        r3[0] = representable(3)
+
+    warm = _smallest_budget(lambda: r3[0].vertex_of(top, 5), lambda: None)
+    assert warm == 8
+    assert _smallest_budget(lambda: r3[0].vertex_of(top, 5), fresh) == warm
 
 
 def test_generating_family_charges_warm_and_cold_alike():

@@ -336,6 +336,7 @@ _BAD_JSON = {
         *(["free", "--input", f] for f in ("{null_top}", "{list_top}", "{null_id}")),
         *(["cells", "--script", f] for f in ("{null_dim}", "{float_dim}", "{inf_dim}")),
         ["dpath", "verify", "--input", "{null_leg}"],
+        *(["check", suite, "--scale", "-1"] for suite in ("t-functoriality", "quasi-isometry", "skeleton-metric", "all")),
     ],
     ids=" ".join,
 )
