@@ -16,10 +16,10 @@ grid can only shrink the bound.
 
 The sampling runs on integers and stays exact.  One common denominator
 ``den`` is the least common multiple of ``2 ** refinement`` and the
-denominators of the two query points, so every waypoint and both queries
-are integer numerators over ``den``.  Arcs are integer comparisons scored
-by integer height gaps, and the shortest path ``d`` is reported as
-``Fraction(d, den)``.
+denominator :func:`transcube.topo.common_numerators` gives the two query
+points, so every waypoint and both queries are integer numerators over
+``den``.  Arcs are integer comparisons scored by integer height gaps, and
+the shortest path ``d`` is reported as ``Fraction(d, den)``.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ import heapq
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from numbers import Rational
 from operator import le
 from typing import NamedTuple
 
 from .cube import INF, Frozen, InputError
 from .paths import DPath, naturality_certificate
 from .sts import Sts
+from .topo import common_numerators
 
 
 class SkeletonDigraph(NamedTuple):
@@ -88,7 +88,7 @@ class PointPresentation(Frozen):
     __slots__ = ("cube_id", "local")
 
     def __init__(self, cube_id: int, local: tuple[Fraction, ...]) -> None:
-        if not all(isinstance(c, Rational) for c in local):
+        if not all(isinstance(c, (int, Fraction)) for c in local):
             raise InputError("local coordinates must be exact rationals (int or Fraction)")
         if any(not 0 <= c <= 1 for c in local):
             raise InputError("local coordinates must lie in [0, 1]")
@@ -156,8 +156,9 @@ def chain_distance_sample(
         exhausted = True
 
     # Every coordinate is an integer numerator over one common denominator.
-    den = lcm(1 << refinement, *(c.denominator for c in p.local + q.local))
-    p_num, q_num = (tuple(int(c * den) for c in pres.local) for pres in (p, q))
+    query_den, queries, _ = common_numerators((p.local, q.local))
+    den = lcm(1 << refinement, query_den)
+    p_num, q_num = (tuple([c * (den // query_den) for c in nums]) for nums in queries)
 
     # Node = ("pt", canonical key) where vertices of cubes are canonicalized
     # through the ambient vertex ids so chains can hop between cubes.

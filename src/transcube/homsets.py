@@ -20,7 +20,7 @@ map.
 from __future__ import annotations
 
 import os
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -100,6 +100,17 @@ def charge_cofaces(m: int, n: int, what: str, *args: object) -> None:
 HOMSET_CACHE_MAXSIZE = 256
 
 
+def with_peak(body, *args) -> tuple:
+    """``(body(*args), peak)``, where ``peak`` is the largest charge the call
+    made (see :data:`_peaks`); a memo that replays ``peak`` on every hit
+    charges warm what it charged cold."""
+    _peaks.append(0)
+    try:
+        return body(*args), _peaks[-1]
+    finally:
+        _peaks.pop()
+
+
 def charged_cache(maxsize: int):
     """Decorator: keep ``body(*args)`` in an ``lru_cache`` of ``maxsize``
     entries behind a gate that charges, on every call, warm or cold, the
@@ -115,14 +126,7 @@ def charged_cache(maxsize: int):
     """
 
     def wrap(body):
-        def recorded(*args):
-            _peaks.append(0)
-            try:
-                return body(*args), _peaks[-1]
-            finally:
-                _peaks.pop()
-
-        cached = lru_cache(maxsize=maxsize)(recorded)
+        cached = lru_cache(maxsize=maxsize)(partial(with_peak, body))
         label = body.__name__ + "(" + ", ".join(["%s"] * body.__code__.co_argcount) + ")"
 
         @wraps(body)

@@ -15,6 +15,12 @@ face it spans.  Naturality is equivalent to the path being a quasi-isometry
 from the directed interval, and every directed path can be reparametrized
 onto it (:func:`naturalize`).
 
+Every check, sum and comparison here runs on plain integers: a path's
+times and coordinates are written over one common denominator by
+:func:`transcube.topo.common_numerators`, the only conversion rule, and
+only the results are built back into Fractions.  Times and coordinates
+must be ints or Fractions; floats are refused.
+
 Multi-cube paths are Moore compositions of single-cube legs; the legs refer
 to cubes of an ambient symmetric transverse set and consecutive legs must
 meet at the same vertex of it.
@@ -24,32 +30,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import ge, gt
 from typing import NamedTuple, Sequence
 
 from .cube import CubeMap, Frozen, InputError, Vertex, bits_leq, compose
-from .homsets import coface_part, factorize
-from .topo import point_height, t_eval
+from .homsets import charge, coface_part, factorize, with_peak
+from .topo import common_numerators, point_height
 
 Point = tuple[Fraction, ...]
 Breakpoint = tuple[Fraction, Point]
 
+#: The constant coordinates 0 and 1 as Fractions, shared by every mapped point.
+_FRACTION_BITS = (Fraction(0), Fraction(1))
+
 
 class SegmentPath(Frozen):
     """A piecewise-linear path in one cube: breakpoints with strictly
-    increasing times, linearly interpolated in between."""
+    increasing times, linearly interpolated in between.  Times and
+    coordinates are ints or Fractions, and coordinates lie in [0, 1]."""
 
     __slots__ = ("dim", "breakpoints")
 
     def __init__(self, dim: int, breakpoints: tuple[Breakpoint, ...]) -> None:
         if len(breakpoints) < 2:
             raise InputError("a path needs at least two breakpoints")
-        for t, pt in breakpoints:
+        den, (times, *points), _ = _numerators(breakpoints)
+        for pt in points:
             if len(pt) != dim:
                 raise InputError("breakpoint dimension mismatch")
-            if any(not 0 <= c <= 1 for c in pt):
+            if any(not 0 <= c <= den for c in pt):
                 raise InputError("coordinates must lie in [0, 1]")
-        times = [t for t, _ in breakpoints]
-        if any(a >= b for a, b in zip(times, times[1:])):
+        if any(map(ge, times, times[1:])):
             raise InputError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "breakpoints", breakpoints)
@@ -78,12 +90,28 @@ class SegmentPath(Frozen):
         return bps[-1][1]
 
 
+def _checked_path(dim: int, breakpoints: tuple[Breakpoint, ...]) -> SegmentPath:
+    """A path whose breakpoints pass the checks of :class:`SegmentPath` by
+    construction, built without running them again: :func:`naturalize` and
+    :func:`transport` build theirs from a path that passed them, and running
+    the checks again would cost about as much as the work itself."""
+    p = object.__new__(SegmentPath)
+    object.__setattr__(p, "dim", dim)
+    object.__setattr__(p, "breakpoints", breakpoints)
+    return p
+
+
 def segment_path(dim: int, pairs: Sequence[tuple]) -> SegmentPath:
     """Build a path from ``(time, coords)`` pairs, coercing to fractions."""
     bps = tuple(
         (Fraction(t), tuple(Fraction(c) for c in pt)) for t, pt in pairs
     )
     return SegmentPath(dim, bps)
+
+
+def _numerators(breakpoints: Sequence[Breakpoint]) -> tuple[int, list[tuple[int, ...]], bool]:
+    """:func:`common_numerators` of a path: the times first, then each point."""
+    return common_numerators([[t for t, _ in breakpoints], *[pt for _, pt in breakpoints]])
 
 
 def _vertex_bits(pt: Point) -> int | None:
@@ -108,19 +136,30 @@ class DPathReport(NamedTuple):
         return self.ok
 
 
+_DIRECTED = DPathReport(True)
+
+
 def is_dpath(p: SegmentPath) -> DPathReport:
     """Directedness check: nondecreasing coordinates, vertex endpoints,
     nonconstant.  Reports the first offending segment."""
-    for idx, ((_, a), (_, b)) in enumerate(zip(p.breakpoints, p.breakpoints[1:])):
-        if any(x > y for x, y in zip(a, b)):
+    den, points, _ = common_numerators([pt for _, pt in p.breakpoints])
+    return _dpath_report(points, den)
+
+
+def _dpath_report(points: list[tuple[int, ...]], den: int) -> DPathReport:
+    """:func:`is_dpath` on the points of a path as numerators over ``den``."""
+    for idx, (a, b) in enumerate(zip(points, points[1:])):
+        if any(map(gt, a, b)):
             return DPathReport(False, "a coordinate decreases", idx)
-    if _vertex_bits(p.start) is None:
+    start, end = points[0], points[-1]
+    # At a vertex every numerator is 0 or den, and den is positive.
+    if start.count(0) + start.count(den) != len(start):
         return DPathReport(False, "path does not start at a vertex")
-    if _vertex_bits(p.end) is None:
+    if end.count(0) + end.count(den) != len(end):
         return DPathReport(False, "path does not end at a vertex")
-    if p.start == p.end and all(pt == p.start for _, pt in p.breakpoints):
+    if end == start and all(pt == start for pt in points):
         return DPathReport(False, "path is constant")
-    return DPathReport(True)
+    return _DIRECTED
 
 
 def is_natural(p: SegmentPath) -> bool:
@@ -132,16 +171,11 @@ def is_natural(p: SegmentPath) -> bool:
     path from the bottom vertex this is literally "coordinate sum equals
     time".
     """
-    if not is_dpath(p):
+    den, (times, *points), _ = _numerators(p.breakpoints)
+    if not _dpath_report(points, den) or times[0] != 0:
         return False
-    t0, start = p.breakpoints[0]
-    if t0 != 0:
-        return False
-    h0 = point_height(start)
-    for t, pt in p.breakpoints:
-        if point_height(pt) - h0 != t:
-            return False
-    return True
+    h0 = sum(points[0])
+    return all(sum(pt) - h0 == t for t, pt in zip(times, points))
 
 
 def naturalize(p: SegmentPath) -> SegmentPath:
@@ -150,19 +184,23 @@ def naturalize(p: SegmentPath) -> SegmentPath:
     Intervals where the height is constant carry a constant path (the
     coordinates are nondecreasing with a constant sum) and are collapsed to
     a single breakpoint.  The image of the path is unchanged and the result
-    is natural; naturalizing twice is the same as once.
+    is natural; naturalizing twice is the same as once.  The new times are
+    Fractions when any coordinate is one, ints otherwise.
     """
-    report = is_dpath(p)
+    den, points, frac = common_numerators([pt for _, pt in p.breakpoints])
+    report = _dpath_report(points, den)
     if not report:
         raise ValueError(f"not a directed path: {report.reason}")
-    h0 = point_height(p.start)
+    h0 = sum(points[0])
     bps: list[Breakpoint] = []
-    for _, pt in p.breakpoints:
-        t = point_height(pt) - h0
-        if bps and bps[-1][0] == t:
+    last = None
+    for (_, pt), num in zip(p.breakpoints, points):
+        t = sum(num) - h0
+        if t == last:
             continue  # constant stretch: keep the first occurrence
-        bps.append((t, pt))
-    return SegmentPath(p.dim, tuple(bps))
+        last = t
+        bps.append((Fraction(t, den) if frac else t, pt))
+    return _checked_path(p.dim, tuple(bps))
 
 
 def transport(f: CubeMap, p: SegmentPath) -> SegmentPath:
@@ -174,26 +212,86 @@ def transport(f: CubeMap, p: SegmentPath) -> SegmentPath:
     the refined breakpoints gives the exact image path.  Natural paths stay
     natural: the extension preserves finite directed distances, hence the
     height climbed from the start.
+
+    The cuts are found on integer numerators.  On each refined piece the
+    order of the coordinates at its midpoint holds on the whole closed
+    piece, up to ties at its ends, so it fixes the permutation the
+    evaluation of :func:`transcube.topo.t_eval_permutation` walks; that
+    permutation, with the constant coordinates of the coface part of ``f``,
+    maps the piece's end.  Mapped input breakpoints keep their time and
+    coordinate objects, and the types are those of :func:`t_eval` at each
+    refined breakpoint.
     """
     if p.dim != f.dom_dim:
         raise ValueError(f"path of dimension {p.dim} fed to map from [{f.dom_dim}]")
-    refined: list[Breakpoint] = [p.breakpoints[0]]
-    for (t0, a), (t1, b) in zip(p.breakpoints, p.breakpoints[1:]):
-        cuts: set[Fraction] = set()
-        for i in range(p.dim):
-            for j in range(i + 1, p.dim):
+    bps = p.breakpoints
+    den, points, _ = common_numerators([pt for _, pt in bps])
+    n = p.dim
+    if f.is_endo():
+        psi, free = f, range(n)
+        base = fraction_base = [None] * n
+    else:
+        fac = factorize(f)
+        psi, free = fac.psi, fac.free
+        base = [0] * f.cod_dim
+        for _, i, alpha in fac.steps:
+            base[i - 1] = alpha
+        fraction_base = [_FRACTION_BITS[c] for c in base]
+    table = psi.table
+
+    def image(pt: Sequence, key: list[int]) -> tuple:
+        # t_eval_permutation with the coordinates ordered by ``key``; the
+        # constant coordinates are Fractions when the point has one, as in
+        # t_eval.
+        out = base
+        for c in pt:
+            if isinstance(c, Fraction):
+                out = fraction_base
+                break
+        out = out[:]
+        mask = prev = 0
+        for k in sorted(range(n), key=key.__getitem__, reverse=True):
+            mask |= 1 << k
+            img = table[mask]
+            out[free[(img & ~prev).bit_length() - 1]] = pt[k]
+            prev = img
+        return tuple(out)
+
+    mapped: list[Breakpoint] = []
+    for s in range(len(bps) - 1):
+        a, b = points[s], points[s + 1]
+        # A pair whose difference changes sign crosses strictly inside the
+        # segment, at the parameter |da| / |da - db| in (0, 1).
+        lams = set()
+        for i in range(n):
+            for j in range(i + 1, n):
                 da = a[i] - a[j]
                 db = b[i] - b[j]
-                if da == db:
-                    continue
-                lam = da / (da - db)
-                if 0 < lam < 1:
-                    cuts.add(t0 + lam * (t1 - t0))
-        for t in sorted(cuts):
-            refined.append((t, p.at(t)))
-        refined.append((t1, b))
-    mapped = tuple((t, t_eval(f, pt)) for t, pt in refined)
-    return SegmentPath(f.cod_dim, mapped)
+                if da * db < 0:
+                    lams.add((abs(da), abs(da - db)))
+        # The pieces end at the cuts and at 1, as numerators over ``scale``.
+        if lams:
+            scale = lcm(*[q for _, q in lams])
+            ends = sorted({scale, *[num * (scale // q) for num, q in lams]})
+            tden, ((t0, t1),), _ = common_numerators(((bps[s][0], bps[s + 1][0]),))
+        else:
+            scale, ends = 1, (1,)
+        lo = 0
+        for hi in ends:
+            # The coordinates at the piece's midpoint, times 2 * scale.
+            mid = lo + hi
+            key = [(2 * scale - mid) * ai + mid * bi for ai, bi in zip(a, b)]
+            if not mapped:
+                mapped.append((bps[0][0], image(bps[0][1], key)))
+            if hi == scale:
+                t, pt = bps[s + 1]
+            else:
+                t = Fraction((scale - hi) * t0 + hi * t1, scale * tden)
+                d = scale * den
+                pt = tuple([Fraction((scale - hi) * ai + hi * bi, d) for ai, bi in zip(a, b)])
+            mapped.append((t, image(pt, key)))
+            lo = hi
+    return _checked_path(f.cod_dim, tuple(mapped))
 
 
 class DPath(Frozen):
@@ -305,26 +403,34 @@ def induced_path_map(f: CubeMap, alpha: Vertex, beta: Vertex) -> CubeMap:
     ``f(beta)`` and the endomap part is the induced map.  Satisfies the
     cocycle law: composing maps composes the induced maps along matching
     endpoints.  The arguments are checked on every call; the result is
-    memoized per ``f`` on ``(alpha.bits, beta.bits)``.
+    memoized per ``f`` on ``(alpha.bits, beta.bits)`` with the peak charge
+    of its cold computation, which every call charges again, so a warm
+    call accepts the budgets a cold one does.
     """
     if alpha.dim != f.dom_dim:
         raise ValueError("endpoints must live in the source cube")
     _check_below(alpha, beta)
     memo = _induced_maps(f)
     key = alpha.bits << f.dom_dim | beta.bits
-    psi = memo.get(key)
-    if psi is None:
-        fac = factorize(compose(f, coface_part(alpha.bits, beta.bits, f.dom_dim)[0]))
-        if fac.phi.table[0] != f.table[alpha.bits] or fac.phi.table[-1] != f.table[beta.bits]:
-            raise AssertionError("coface part does not span the image face")
-        psi = memo[key] = fac.psi
-    return psi
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = with_peak(_induced_map, f, alpha.bits, beta.bits)
+    charge(found[1], "induced_path_map(%s, %s, %s)", f, alpha, beta)
+    return found[0]
+
+
+def _induced_map(f: CubeMap, lo: int, hi: int) -> CubeMap:
+    fac = factorize(compose(f, coface_part(lo, hi, f.dom_dim)[0]))
+    if fac.phi.table[0] != f.table[lo] or fac.phi.table[-1] != f.table[hi]:
+        raise AssertionError("coface part does not span the image face")
+    return fac.psi
 
 
 @lru_cache(maxsize=1 << 12)
-def _induced_maps(f: CubeMap) -> dict[int, CubeMap]:
-    """The induced maps of ``f`` found so far, by ``alpha.bits << m |
-    beta.bits``; :func:`induced_path_map` fills it.  One small dict per map
-    keeps a memo entry near 40 bytes, against about 150 for a cache keyed
-    on the triple ``(f, alpha.bits, beta.bits)``."""
+def _induced_maps(f: CubeMap) -> dict[int, tuple[CubeMap, int]]:
+    """The induced maps of ``f`` found so far, with the peak charge of each,
+    by ``alpha.bits << m | beta.bits``; :func:`induced_path_map` fills it.
+    One small dict per map keeps a memo entry near 100 bytes, against
+    about 150 for a cache keyed on the triple ``(f, alpha.bits,
+    beta.bits)``."""
     return {}

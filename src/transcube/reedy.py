@@ -168,9 +168,12 @@ def weighted_coend_eval(a_obj: CotransverseSetObj, k_sts: Sts) -> QuotientSet:
     quot = QuotientSet(elements)
     for key, u in generating_family(top):
         m, n = u.dom_dim, u.cod_dim
+        cubes, values = k_sts.cubes[n], a_obj.values[m]
+        if not (cubes and values):
+            continue  # the generator acts on an empty level: nothing to identify
         amap = a_obj.tables[key]
-        for c, uc in zip(k_sts.cubes[n], k_sts.tables[key]):
-            for a, ua in zip(a_obj.values[m], amap):
+        for c, uc in zip(cubes, k_sts.tables[key]):
+            for a, ua in zip(values, amap):
                 quot.identify((m, uc, a), (n, c, ua))
     return quot
 

@@ -241,9 +241,14 @@ class StsMap(Frozen):
             if c not in src.dim_of:
                 raise InputError(f"mapping names cube {c}, which is not a cube of the source")
         # A source cube above dst.max_dim already failed the dimension check.
+        # A generator acting on an empty level has nothing to check, but the
+        # whole family is read, and charged, all the same.
         for key, u in generating_family(min(src.max_dim, dst.max_dim)):
+            level = src.cubes[u.cod_dim]
+            if not level:
+                continue
             dst_table = dst.tables[key]
-            for c, uc in zip(src.cubes[u.cod_dim], src.tables[key]):
+            for c, uc in zip(level, src.tables[key]):
                 if dst_table[dst.pos[mapping[c]]] != mapping[uc]:
                     kind = "endomap" if key is u else "face"
                     raise InputError(f"mapping not equivariant at {kind} of cube {c}")

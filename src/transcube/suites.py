@@ -29,10 +29,10 @@ from .geometry import PointPresentation, chain_distance_sample, dpath_length, ve
 from .homsets import BudgetExceeded, composable_pairs, enumerate_cofaces, enumerate_homset, factorize
 from .paths import (
     DPath,
+    SegmentPath,
     induced_path_map,
     is_natural,
     naturalize,
-    segment_path,
     transport,
 )
 from .reedy import (
@@ -246,22 +246,25 @@ def suite_quasi_isometry(report: CheckSuiteReport, max_dim: int, rnd: random.Ran
                 report.failures.append(f"height not preserved by {f.literal()}")
 
 
+#: The coordinates of :func:`_random_monotone_path`, built once.
+_EIGHTHS = tuple(Fraction(k, 8) for k in range(9))
+
+
 def _random_monotone_path(rnd: random.Random, dim: int, segments: int):
     """A PL directed path from the bottom vertex to a random vertex above it,
-    with arbitrary (generally non-natural) parametrization speeds."""
-    pts = [tuple(Fraction(0) for _ in range(dim))]
+    with arbitrary (generally non-natural) parametrization speeds.  Drawn as
+    integer numerators: coordinates in eighths, times in thirds."""
+    pts = [(0,) * dim]
     for _ in range(segments - 1):
-        prev = pts[-1]
-        pts.append(tuple(min(Fraction(1), c + Fraction(rnd.randrange(0, 5), 8)) for c in prev))
-    last = pts[-1]
-    end = tuple(Fraction(1) if c > 0 or rnd.random() < 0.7 else Fraction(0) for c in last)
+        pts.append(tuple(min(8, c + rnd.randrange(0, 5)) for c in pts[-1]))
+    end = tuple(8 if c > 0 or rnd.random() < 0.7 else 0 for c in pts[-1])
     if end == pts[0]:
-        end = tuple(Fraction(1) for _ in range(dim))
+        end = (8,) * dim
     pts.append(end)
-    times = [Fraction(0)]
+    times = [0]
     for _ in range(len(pts) - 1):
-        times.append(times[-1] + Fraction(rnd.randrange(1, 5), 3))
-    return segment_path(dim, list(zip(times, pts)))
+        times.append(times[-1] + rnd.randrange(1, 5))
+    return SegmentPath(dim, tuple((Fraction(t, 3), tuple(_EIGHTHS[c] for c in pt)) for t, pt in zip(times, pts)))
 
 
 def _distinct_runs(p) -> list:

@@ -27,11 +27,23 @@ denominator.
 Maps between cubes of different dimensions are evaluated through the unique
 coface/endo factorization: run the endomap part, then insert the constant
 coordinates of the coface part.
+
+The directed metric sums and compares plain integers.
+:func:`common_numerators` writes a group of points over one common
+denominator, the ``math.lcm`` of every coordinate's denominator, and the
+sums and comparisons run on the integer numerators: on CPython 3.11 a
+Fraction comparison takes about 1 us and an addition 2.5 us, against tens
+of nanoseconds for ints.  Results keep the type of the input: all-int
+points give an int, and a point group with a ``Fraction`` anywhere gives a
+``Fraction``.  Floats are refused, since they would make every comparison
+inexact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import le, sub
 from typing import Sequence, TypeVar
 
 from .cube import INF, CubeMap, InputError
@@ -126,9 +138,31 @@ def _constants_like(x: Sequence) -> tuple:
     return 0, 1
 
 
+def common_numerators(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]], bool]:
+    """One common denominator for a group of points, the integer numerators
+    of each point over it, and whether any coordinate is a ``Fraction``.
+
+    The denominator is the ``math.lcm`` of every coordinate's denominator,
+    so it is 1 when every coordinate is an int.  A coordinate that is
+    neither an int nor a ``Fraction`` raises :class:`InputError`.
+    """
+    frac = False
+    for pt in points:
+        for c in pt:
+            if not isinstance(c, int):
+                if not isinstance(c, Fraction):
+                    raise InputError(f"{c!r} is not an exact rational: give an int or a Fraction")
+                frac = True
+    if not frac:
+        return 1, [tuple(pt) for pt in points], False
+    den = lcm(*[c.denominator for pt in points for c in pt])
+    return den, [tuple([c.numerator * (den // c.denominator) for c in pt]) for pt in points], True
+
+
 def point_height(x: Sequence[Coord]) -> Coord:
     """Coordinate sum of a point of the solid cube."""
-    return sum(x[1:], x[0]) if len(x) else 0
+    den, (xs,), frac = common_numerators((x,))
+    return Fraction(sum(xs), den) if frac else sum(xs)
 
 
 def d1_point(x: Sequence[Coord], y: Sequence[Coord]):
@@ -136,8 +170,10 @@ def d1_point(x: Sequence[Coord], y: Sequence[Coord]):
     ``x <= y`` coordinatewise, infinite otherwise."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} != {len(y)}")
-    if all(a <= b for a, b in zip(x, y)):
-        return sum((b - a for a, b in zip(x, y)), _constants_like(x)[0])
+    den, (xs, ys), frac = common_numerators((x, y))
+    if all(map(le, xs, ys)):
+        gap = sum(ys) - sum(xs)
+        return Fraction(gap, den) if frac else gap
     return INF
 
 
@@ -150,16 +186,19 @@ def d1_sym(x: Sequence[Coord], y: Sequence[Coord]) -> Coord:
     """
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} != {len(y)}")
-    zero = _constants_like(x)[0]
-    return sum((b - a if b >= a else a - b for a, b in zip(x, y)), zero)
+    den, (xs, ys), frac = common_numerators((x, y))
+    total = sum(map(abs, map(sub, xs, ys)))
+    return Fraction(total, den) if frac else total
 
 
 def d1_sym_witness(x: Sequence[Coord], y: Sequence[Coord]) -> tuple[Coord, ...]:
     """The coordinatewise minimum ``z``: it sits below both points and
-    attains ``d1(z, x) + d1(z, y) == d1_sym(x, y)``."""
+    attains ``d1(z, x) + d1(z, y) == d1_sym(x, y)``.  Each coordinate is the
+    smaller input coordinate itself, the one of ``x`` on a tie."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} != {len(y)}")
-    return tuple(min(a, b) for a, b in zip(x, y))
+    _, (xs, ys), _ = common_numerators((x, y))
+    return tuple([b if bn < an else a for a, b, an, bn in zip(x, y, xs, ys)])
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:

@@ -241,6 +241,19 @@ def test_warm_vertex_of_charges_as_a_cold_one():
     assert _smallest_budget(lambda: r3[0].vertex_of(top, 5), fresh) == warm
 
 
+def test_warm_induced_path_map_charges_as_a_cold_one():
+    # a cold call charges coface_part(0, 3, 2), then the 3 coordinates of
+    # the target that the factorization of the restricted map reads
+    f = enumerate_homset(2, 3)[5]
+
+    def call():
+        induced_path_map(f, Vertex(2, 0), Vertex(2, 3))
+
+    warm = _smallest_budget(call, lambda: None)
+    assert warm == 3
+    assert _smallest_budget(call, paths._induced_maps.cache_clear) == warm
+
+
 def test_generating_family_charges_warm_and_cold_alike():
     # the endomaps of [3], 66 << 3 cells, are charged whether or not the family is cached
     def cold():

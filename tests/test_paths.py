@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from transcube.cube import Vertex, compose, coface, max_min_collapse, symmetry
+from transcube.cube import InputError, Vertex, compose, coface, max_min_collapse, symmetry
 from transcube.homsets import enumerate_homset
 from transcube.paths import (
     DPath,
+    DPathReport,
+    SegmentPath,
     dpath_endpoints,
     induced_coface,
     induced_path_map,
@@ -22,7 +24,7 @@ from transcube.paths import (
     validate_dpath,
 )
 from transcube.sts import Precubical, free_sts
-from transcube.topo import d1_point
+from transcube.topo import d1_point, t_eval
 
 
 def diagonal(dim: int, duration=1) -> "SegmentPath":
@@ -283,3 +285,260 @@ def test_induced_coface_checks_arguments_after_a_cached_call():
     for lo, hi in [(beta, alpha), (alpha, alpha), (alpha, Vertex(4, 0b111))]:
         with pytest.raises(ValueError):
             induced_coface(lo, hi)
+
+
+# -- Fraction references for the integer-numerator rewrites --------------------
+#
+# The bodies below are the Fraction arithmetic the paths ran on before they
+# moved to integer numerators over one common denominator; the rewrite must
+# give the same values of the same types.
+
+
+def ref_height(x):
+    return sum(x[1:], x[0]) if len(x) else 0
+
+
+def ref_segment_error(dim, bps):
+    """The message of the first check of ``SegmentPath`` a breakpoint tuple fails."""
+    if len(bps) < 2:
+        return "a path needs at least two breakpoints"
+    for _, pt in bps:
+        if len(pt) != dim:
+            return "breakpoint dimension mismatch"
+        if any(not 0 <= c <= 1 for c in pt):
+            return "coordinates must lie in [0, 1]"
+    times = [t for t, _ in bps]
+    if any(a >= b for a, b in zip(times, times[1:])):
+        return "breakpoint times must be strictly increasing"
+    return None
+
+
+def ref_vertex_bits(pt):
+    bits = 0
+    for i, c in enumerate(pt):
+        if c == 1:
+            bits |= 1 << i
+        elif c != 0:
+            return None
+    return bits
+
+
+def ref_is_dpath(p):
+    for idx, ((_, a), (_, b)) in enumerate(zip(p.breakpoints, p.breakpoints[1:])):
+        if any(x > y for x, y in zip(a, b)):
+            return (False, "a coordinate decreases", idx)
+    if ref_vertex_bits(p.start) is None:
+        return (False, "path does not start at a vertex", None)
+    if ref_vertex_bits(p.end) is None:
+        return (False, "path does not end at a vertex", None)
+    if p.start == p.end and all(pt == p.start for _, pt in p.breakpoints):
+        return (False, "path is constant", None)
+    return (True, "", None)
+
+
+def ref_is_natural(p):
+    if not ref_is_dpath(p)[0]:
+        return False
+    t0, start = p.breakpoints[0]
+    if t0 != 0:
+        return False
+    h0 = ref_height(start)
+    return all(ref_height(pt) - h0 == t for t, pt in p.breakpoints)
+
+
+def ref_naturalize(p):
+    """The breakpoints of the natural reparametrization."""
+    h0 = ref_height(p.start)
+    bps = []
+    for _, pt in p.breakpoints:
+        t = ref_height(pt) - h0
+        if bps and bps[-1][0] == t:
+            continue
+        bps.append((t, pt))
+    return tuple(bps)
+
+
+def ref_transport(f, p):
+    """The breakpoints of the image path: cut every segment where two
+    coordinates cross, then ``t_eval`` every refined breakpoint.  The crossing
+    parameter is a Fraction even on integer coordinates."""
+    refined = [p.breakpoints[0]]
+    for (t0, a), (t1, b) in zip(p.breakpoints, p.breakpoints[1:]):
+        cuts = set()
+        for i in range(p.dim):
+            for j in range(i + 1, p.dim):
+                da = a[i] - a[j]
+                db = b[i] - b[j]
+                if da == db:
+                    continue
+                lam = F(da) / (da - db)
+                if 0 < lam < 1:
+                    cuts.add(t0 + lam * (t1 - t0))
+        for t in sorted(cuts):
+            refined.append((t, p.at(t)))
+        refined.append((t1, b))
+    return tuple((t, t_eval(f, pt)) for t, pt in refined)
+
+
+def same(a, b) -> bool:
+    """Equal values of the same types, entry by entry."""
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+#: Denominators of the sampled coordinates and times, up to 2520 = lcm(1, ..., 10).
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 9, 12, 60, 840, 2520)
+
+
+def random_breakpoints(rnd, dim, kind):
+    """Breakpoints of a random path in ``[dim]``.  ``kind`` "int" gives int
+    times and 0/1 coordinates, "fraction" Fractions throughout, "mixed" both.
+    Most paths climb from a vertex to a vertex, through constant stretches,
+    coordinates tied at a breakpoint and coordinates crossing inside a
+    segment; the rest wander."""
+    count = rnd.randint(2, 5)
+    if kind == "int":
+        pts = [tuple(rnd.randint(0, 1) for _ in range(dim))]
+        for _ in range(count - 1):
+            step = rnd.random()
+            if step < 0.2:
+                pts.append(pts[-1])
+            elif step < 0.8:
+                pts.append(tuple(c | rnd.randint(0, 1) for c in pts[-1]))
+            else:
+                pts.append(tuple(rnd.randint(0, 1) for _ in range(dim)))
+        times = [rnd.randint(0, 1)]
+        for _ in range(count - 1):
+            times.append(times[-1] + rnd.randint(1, 3))
+        return tuple(zip(times, pts))
+
+    def frac(num, den):
+        value = F(num, den)
+        if kind == "mixed" and value.denominator == 1 and rnd.random() < 0.5:
+            return int(value)
+        return value
+
+    def climb(c):
+        den = rnd.choice(DENOMINATORS)
+        return min(F(1), c + F(rnd.randrange(0, den + 1), den) / rnd.randint(1, 3))
+
+    pts = [tuple(F(rnd.random() < 0.3) for _ in range(dim))]
+    wander = rnd.random() < 0.15
+    for _ in range(count - 2):
+        prev = list(pts[-1])
+        step = rnd.random()
+        if wander:
+            den = rnd.choice(DENOMINATORS)
+            prev = [F(rnd.randrange(den + 1), den) for _ in range(dim)]
+        elif step < 0.2:
+            pass  # a constant stretch
+        elif step < 0.4 and dim > 1:
+            i, j = rnd.sample(range(dim), 2)
+            prev[i] = prev[j] = max(prev[i], prev[j], climb(prev[i]))  # a tie at this breakpoint
+        else:
+            prev = [climb(c) for c in prev]
+        pts.append(tuple(prev))
+    if rnd.random() < 0.9:
+        pts.append(tuple(F(1) if c > 0 or rnd.random() < 0.5 else F(0) for c in pts[-1]))
+    else:
+        pts.append(tuple(climb(c) for c in pts[-1]))
+    if wander and rnd.random() < 0.5:
+        pts[0] = pts[1]
+    heights = [sum(pt) for pt in pts]
+    if rnd.random() < 0.3 and all(a < b for a, b in zip(heights, heights[1:])):
+        times = [h - heights[0] for h in heights]  # natural
+    else:
+        den = rnd.choice(DENOMINATORS)
+        times = [F(rnd.randrange(0, 2 * den), den) if rnd.random() < 0.3 else F(0)]
+        for _ in range(len(pts) - 1):
+            den = rnd.choice(DENOMINATORS)
+            times.append(times[-1] + F(rnd.randrange(1, 3 * den), den))
+    return tuple((frac(t.numerator, t.denominator), tuple(frac(c.numerator, c.denominator) for c in pt))
+                 for t, pt in zip(times, pts))
+
+
+def sampled_paths():
+    rnd = random.Random(23)
+    for _ in range(400):
+        dim = rnd.choice((0, 1, 2, 2, 3, 3))
+        kind = rnd.choice(("int", "fraction", "fraction", "mixed"))
+        yield kind, SegmentPath(dim, random_breakpoints(rnd, dim, kind))
+
+
+def test_path_checks_match_their_fraction_references():
+    seen = set()
+    natural = 0
+    for kind, p in sampled_paths():
+        report = is_dpath(p)
+        assert report == ref_is_dpath(p)
+        assert type(report) is DPathReport
+        assert is_natural(p) is ref_is_natural(p)
+        natural += ref_is_natural(p)
+        seen.add((report.ok, report.reason))
+        if report:
+            nat = naturalize(p)
+            assert nat.dim == p.dim
+            if kind == "mixed":  # each new time has the type of its own height gap
+                assert nat.breakpoints == ref_naturalize(p)
+            else:
+                assert same(nat.breakpoints, ref_naturalize(p))
+            assert is_natural(nat) and ref_is_natural(nat)
+    # directed paths and each failure of is_dpath were all drawn, and so were natural ones
+    assert {reason for _, reason in seen} == {
+        "", "a coordinate decreases", "path does not start at a vertex", "path does not end at a vertex",
+        "path is constant",
+    }
+    assert natural > 10
+
+
+def test_transport_matches_its_fraction_reference():
+    rnd = random.Random(29)
+    crossings = ties = constants = lifted = 0
+    for kind, p in sampled_paths():
+        n = rnd.randint(p.dim, 4)
+        maps = enumerate_homset(p.dim, n)
+        for f in rnd.sample(maps, min(3, len(maps))):
+            want = ref_transport(f, p)
+            got = transport(f, p)
+            assert got.dim == f.cod_dim
+            if kind == "mixed":  # a tie of 1 and Fraction(1) may route either object
+                assert got.breakpoints == want
+            else:
+                assert same(got.breakpoints, want)
+            crossings += len(want) > len(p.breakpoints)
+            lifted += not f.is_endo() and p.dim > 0
+        bps = p.breakpoints
+        constants += any(a == b for (_, a), (_, b) in zip(bps, bps[1:]))
+        ties += any(len(set(pt)) < len(pt) for _, pt in bps[1:-1])
+    assert min(crossings, ties, constants, lifted) > 10
+
+
+def test_segment_path_checks_match_their_fraction_reference():
+    rnd = random.Random(31)
+    values = (F(-1, 3), F(0), F(1, 2520), F(1, 2), F(1), F(7, 6), 0, 1, 2)
+    for _ in range(3000):
+        dim = rnd.randint(0, 2)
+        bps = tuple(
+            (rnd.choice(values) + rnd.randrange(3), tuple(rnd.choice(values) for _ in range(rnd.choice((dim, dim, dim, dim + 1)))))
+            for _ in range(rnd.randint(1, 4))
+        )
+        want = ref_segment_error(dim, bps)
+        if want is None:
+            assert SegmentPath(dim, bps).breakpoints == bps
+        else:
+            with pytest.raises(InputError) as err:
+                SegmentPath(dim, bps)
+            assert str(err.value) == want
+
+
+def test_paths_refuse_inexact_coordinates():
+    for bps in [
+        ((0.0, (0.0,)), (1.0, (1.0,))),
+        ((0, (0,)), (F(1, 2), (0.5,))),
+        ((0, (0,)), (0.5, (1,))),
+    ]:
+        with pytest.raises(InputError, match="not an exact rational"):
+            SegmentPath(1, bps)
+    # segment_path coerces through Fraction, as before
+    assert segment_path(1, [(0.0, (0.0,)), (1.0, (1.0,))]) == diagonal(1)

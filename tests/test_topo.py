@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transcube import batch
-from transcube.cube import INF, coface, compose, max_min_collapse, symmetry
+from transcube.cube import INF, InputError, coface, compose, max_min_collapse, symmetry
 from transcube.homsets import enumerate_homset
 from transcube.topo import (
+    common_numerators,
     d1_point,
     d1_sym,
     d1_sym_witness,
@@ -302,3 +303,95 @@ def test_batch_non_endomaps_match_pointwise_rows():
                 for row, pt in zip(out, pts):
                     want = tuple(c * 3 for c in t_eval(f, tuple(F(int(c), 3) for c in pt)))
                     assert tuple(int(c) for c in row) == want
+
+
+# -- Fraction references for the integer-numerator rewrites --------------------
+#
+# The bodies below are the Fraction arithmetic the metric ran on before it
+# moved to integer numerators over one common denominator; the rewrite must
+# give the same values of the same types.
+
+
+def ref_zero(x):
+    return F(0) if any(isinstance(c, F) for c in x) else 0
+
+
+def ref_point_height(x):
+    return sum(x[1:], x[0]) if len(x) else 0
+
+
+def ref_d1_point(x, y):
+    if all(a <= b for a, b in zip(x, y)):
+        return sum((b - a for a, b in zip(x, y)), ref_zero(x))
+    return INF
+
+
+def ref_d1_sym(x, y):
+    return sum((b - a if b >= a else a - b for a, b in zip(x, y)), ref_zero(x))
+
+
+def ref_d1_sym_witness(x, y):
+    return tuple(min(a, b) for a, b in zip(x, y))
+
+
+def same(a, b) -> bool:
+    """Equal values of the same types, entry by entry."""
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+#: Exact coordinates in [0, 1]: ints, and Fractions with denominators up to
+#: 2520 = lcm(1, ..., 10).
+exact = st.one_of(st.sampled_from([0, 1]), st.fractions(min_value=0, max_value=1, max_denominator=2520))
+
+
+def point_pairs(coords):
+    return st.integers(0, 4).flatmap(lambda n: st.tuples(*[st.tuples(coords, coords)] * n)).map(
+        lambda pairs: (tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+    )
+
+
+@settings(max_examples=400)
+@given(st.one_of(point_pairs(exact), point_pairs(st.sampled_from([0, 1]))))
+def test_metric_matches_its_fraction_reference(pair):
+    x, y = pair
+    assert same(point_height(x), ref_point_height(x))
+    assert same(d1_point(x, y), ref_d1_point(x, y))
+    assert same(d1_sym(x, y), ref_d1_sym(x, y))
+    witness = d1_sym_witness(x, y)
+    assert same(witness, ref_d1_sym_witness(x, y))
+    assert all(w is a or w is b for w, a, b in zip(witness, x, y))  # the input objects themselves
+
+
+def test_metric_matches_its_fraction_reference_on_pinned_points():
+    cases = [
+        ((), ()),
+        ((0, 1), (1, 1)),  # integer coordinates only
+        ((1, 0), (0, 1)),
+        ((F(1, 2520), F(1, 7)), (F(1, 9), F(1, 8))),  # denominators up to 2520
+        ((F(1, 2), 1), (F(1, 2), F(1))),  # ties, int against Fraction
+        ((F(1), F(0)), (F(1), F(0))),  # Fractions with denominator 1
+    ]
+    for x, y in cases:
+        for a, b in ((x, y), (y, x)):
+            assert same(d1_point(a, b), ref_d1_point(a, b))
+            assert same(d1_sym(a, b), ref_d1_sym(a, b))
+            assert same(d1_sym_witness(a, b), ref_d1_sym_witness(a, b))
+            assert same(point_height(a), ref_point_height(a))
+
+
+def test_common_numerators():
+    assert common_numerators([(F(1, 2), 1), (F(1, 3),)]) == (6, [(3, 6), (2,)], True)
+    assert common_numerators([(0, 1), (True,)]) == (1, [(0, 1), (True,)], False)
+    assert common_numerators([(F(1), F(0))]) == (1, [(1, 0)], True)
+    assert common_numerators([]) == (1, [], False)
+
+
+@pytest.mark.parametrize("fn", [d1_point, d1_sym, d1_sym_witness])
+def test_metric_refuses_inexact_coordinates(fn):
+    for x, y in [((0.5,), (0.75,)), ((F(1, 2),), (0.75,)), ((0, 1), (1, 1.0)), (("1",), (1,))]:
+        with pytest.raises(InputError, match="not an exact rational"):
+            fn(x, y)
+    with pytest.raises(ValueError, match="dimension mismatch"):  # checked first, as before
+        fn((0.5,), (0.5, 0.5))
