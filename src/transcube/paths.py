@@ -102,11 +102,14 @@ def _checked_path(dim: int, breakpoints: tuple[Breakpoint, ...]) -> SegmentPath:
 
 
 def segment_path(dim: int, pairs: Sequence[tuple]) -> SegmentPath:
-    """Build a path from ``(time, coords)`` pairs, coercing to fractions."""
-    bps = tuple(
-        (Fraction(t), tuple(Fraction(c) for c in pt)) for t, pt in pairs
-    )
+    """Build a path from ``(time, coords)`` pairs, coercing to fractions; a
+    ``Fraction`` is kept as it is."""
+    bps = tuple((_fraction(t), tuple([_fraction(c) for c in pt])) for t, pt in pairs)
     return SegmentPath(dim, bps)
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _numerators(breakpoints: Sequence[Breakpoint]) -> tuple[int, list[tuple[int, ...]], bool]:

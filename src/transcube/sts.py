@@ -68,6 +68,7 @@ class Sts:
         self.dim_of = {c: n for n, ids in self.cubes.items() for c in ids}
         self.pos = {c: i for ids in self.cubes.values() for i, c in enumerate(ids)}
         self._vertex_ids: dict[int, tuple[int, ...]] = {}  # per cube, filled by vertex_of
+        self._graphs: dict[str, tuple] = {}  # the distance graphs transcube.geometry keeps, one per kind
 
     # -- queries ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from operator import le
 
 from .cube import (
     CubeMap,
@@ -54,7 +55,7 @@ from .sts import (
     graded_counts_equal,
     representable,
 )
-from .topo import d1_point, d1_sym, d1_sym_witness, t_eval_maxmin, t_eval_permutation
+from .topo import common_numerators, d1_point, d1_sym, d1_sym_witness, t_eval_maxmin, t_eval_permutation
 
 DENOMINATOR = 2520  # divisible by 1..10, so sampled rationals stay friendly
 
@@ -278,12 +279,14 @@ def _distinct_runs(p) -> list:
 
 
 def _breakpointwise_quasi_isometry(p) -> bool:
+    """Whether every pair of breakpoints, earlier first, lies as far apart in
+    the directed metric as in time; compared on integer numerators."""
     bps = p.breakpoints
-    for i in range(len(bps)):
-        for j in range(i, len(bps)):
-            ti, xi = bps[i]
-            tj, xj = bps[j]
-            if d1_point(xi, xj) != tj - ti:
+    _, (times, *points), _ = common_numerators([[t for t, _ in bps], *[pt for _, pt in bps]])
+    heights = [sum(pt) for pt in points]
+    for i, (ti, xi, hi) in enumerate(zip(times, points, heights)):
+        for tj, xj, hj in zip(times[i:], points[i:], heights[i:]):
+            if hj - hi != tj - ti or not all(map(le, xi, xj)):
                 return False
     return True
 
@@ -400,8 +403,9 @@ def suite_cocycle(report: CheckSuiteReport, max_dim: int, rnd: random.Random, sc
 
 
 def suite_skeleton_metric(report: CheckSuiteReport, max_dim: int, rnd: random.Random, scale: int) -> None:
+    reps = {}  # one set per dimension, so later queries find its distance graphs built
     for n in range(max_dim + 1):
-        rep = representable(n)
+        rep = reps[n] = representable(n)
         verts = {rep.labels[c].table[0]: c for c in rep.cubes[0]}
         for xa, a in verts.items():
             for xb, b in verts.items():
@@ -423,7 +427,9 @@ def suite_skeleton_metric(report: CheckSuiteReport, max_dim: int, rnd: random.Ra
     # directed path length dominates the skeleton distance
     for _ in range(scale):
         dim = rnd.randrange(1, max(max_dim, 1) + 1)
-        rep = representable(dim)
+        if dim not in reps:
+            reps[dim] = representable(dim)
+        rep = reps[dim]
         top = next(c for c in rep.cubes[dim] if rep.labels[c].is_identity())
         p = naturalize(_random_monotone_path(rnd, dim, 3))
         path = DPath(((top, p),))

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import transcube
 from transcube import homsets, paths, reedy, sts
 from transcube.cube import CubeMap, Vertex, compose
+from transcube.geometry import PointPresentation, chain_distance_sample, vertex_distance
 from transcube.homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
 from transcube.paths import induced_coface, induced_path_map
 from transcube.reedy import boundary_hom, boundary_weight
@@ -239,6 +241,29 @@ def test_warm_vertex_of_charges_as_a_cold_one():
     warm = _smallest_budget(lambda: r3[0].vertex_of(top, 5), lambda: None)
     assert warm == 8
     assert _smallest_budget(lambda: r3[0].vertex_of(top, 5), fresh) == warm
+
+
+@pytest.mark.parametrize("n, refinement", [(1, 2), (2, 0), (2, 1), (3, 0)])
+def test_warm_chain_distance_charges_as_a_cold_one(n, refinement):
+    # the vertex waypoints of the 2^n corners of [n] are charged on every
+    # call, whether the set's waypoint graph is built or kept
+    rep = [representable(n)]
+    top = rep[0].cubes[n][-1]
+    p = PointPresentation(top, (Fraction(1, 3),) * n)
+    q = PointPresentation(top, (Fraction(5, 6),) * n)
+
+    def fresh():
+        rep[0] = representable(n)
+
+    def call():
+        chain_distance_sample(rep[0], p, q, refinement=refinement)
+
+    warm = _smallest_budget(call, lambda: None)
+    assert warm == 1 << n
+    assert _smallest_budget(call, fresh) == warm
+    # the skeleton charges nothing, warm or cold
+    a, b = rep[0].cubes[0][0], rep[0].cubes[0][-1]
+    assert _smallest_budget(lambda: vertex_distance(rep[0], a, b), lambda: None) == 0
 
 
 def test_warm_induced_path_map_charges_as_a_cold_one():

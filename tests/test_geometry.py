@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import heapq
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from transcube.geometry import (
     vertex_distance,
 )
 from transcube.paths import DPath, naturalize, segment_path
-from transcube.sts import free_sts, representable, Precubical
+from transcube.sts import Sts, boundary, free_sts, representable, Precubical
 from transcube.topo import d1_point
 
 
@@ -119,6 +120,25 @@ def two_squares():
                 (16, 1, 0): 4, (16, 1, 1): 5,
                 (20, 1, 0): 12, (20, 1, 1): 13, (20, 2, 0): 10, (20, 2, 1): 11,
                 (21, 1, 0): 13, (21, 1, 1): 16, (21, 2, 0): 14, (21, 2, 1): 15,
+            },
+        )
+    )
+
+
+def pinched_square():
+    """A square whose top edge is a loop: corners (0, 0) -> 0, (1, 0) -> 1
+    and both (0, 1) and (1, 1) -> 2, so one pair of vertices meets in
+    arcs of two weights."""
+    return free_sts(
+        Precubical(
+            2,
+            {0: (0, 1, 2), 1: (10, 11, 12, 13), 2: (20,)},
+            {
+                (10, 1, 0): 0, (10, 1, 1): 2,
+                (11, 1, 0): 1, (11, 1, 1): 2,
+                (12, 1, 0): 0, (12, 1, 1): 1,
+                (13, 1, 0): 2, (13, 1, 1): 2,
+                (20, 1, 0): 10, (20, 1, 1): 11, (20, 2, 0): 12, (20, 2, 1): 13,
             },
         )
     )
@@ -330,6 +350,96 @@ def test_chain_bound_never_undercuts_vertex_distance():
                 for refinement in (0, 1):
                     bound = chain_distance_sample(sts, pa, pb, refinement=refinement)
                     assert bound.value >= vertex_distance(sts, a, b)
+
+
+def effective_refinement(sts, budget, refinement):
+    """The refinement a chain bound is sampled at, after the budget cut."""
+    while refinement > 0 and sum(((1 << refinement) + 1) ** sts.dim_of[c] for c in sts.all_cubes()) > budget:
+        refinement -= 1
+    return refinement
+
+
+def fresh(sts):
+    """A new set with the same cubes and tables, and none of its memos."""
+    return Sts(sts.max_dim, sts.cubes, sts.tables, sts.labels)
+
+
+def query_point(rnd, sts, kind):
+    """A presentation of the given kind: a random rational point, a waypoint
+    of some refinement, a vertex of a cube, or a point on a face of one."""
+    dim = rnd.choice(sorted({sts.dim_of[c] for c in sts.all_cubes()}))
+    cube = rnd.choice(sts.cubes[dim])
+    if kind == "rational":
+        local = [F(rnd.randint(0, den), den) for den in (rnd.randint(1, 12) for _ in range(dim))]
+    elif kind == "waypoint":
+        steps = 1 << rnd.randint(0, 3)
+        local = [F(rnd.randint(0, steps), steps) for _ in range(dim)]
+    elif kind == "vertex":
+        local = [rnd.choice((0, F(1), F(0), 1)) for _ in range(dim)]
+    else:
+        den = rnd.randint(2, 12)
+        local = [rnd.choice((F(0), F(1))) if rnd.random() < 0.5 else F(rnd.randint(1, den - 1), den) for _ in range(dim)]
+    return PointPresentation(cube, tuple(local))
+
+
+def shared_sets():
+    return [representable(n) for n in range(4)] + [boundary(2), two_squares(), pinched_square(), grid((1, 2)), grid((2, 2))]
+
+
+def test_chain_distance_on_a_pinched_square_matches_the_reference():
+    # a query point on a face below the loop reaches vertex 2 at two heights
+    rnd = random.Random(27)
+    sts = pinched_square()
+    for _ in range(600):
+        p, q = (query_point(rnd, sts, rnd.choice(("rational", "face", "vertex", "waypoint"))) for _ in range(2))
+        refinement = rnd.randint(0, 2)
+        assert_same_bound(chain_distance_sample(sts, p, q, 4096, refinement), reference_chain_distance(sts, p, q, 4096, refinement))
+
+
+def test_one_set_answers_an_interleaved_query_sequence_as_the_reference():
+    # every query on one instance per set, so each finds the graphs the
+    # previous queries on it left: same refinement, another one, or none
+    rnd = random.Random(24)
+    sets = shared_sets()
+    kinds = ("rational", "waypoint", "vertex", "face")
+    seen = set()
+    for _ in range(300):
+        sts = rnd.choice(sets)
+        refinement, budget = rnd.randint(0, 3), rnd.choice((30, 200, 4096))
+        pk, qk = rnd.choice(kinds), rnd.choice(kinds)
+        p = query_point(rnd, sts, pk)
+        q = p if rnd.random() < 0.15 else query_point(rnd, sts, qk)
+        want = reference_chain_distance(sts, p, q, budget, refinement)
+        kept = sts._graphs.get("waypoint", (None,))[0]
+        assert_same_bound(chain_distance_sample(sts, p, q, budget, refinement), want)
+        assert set(sts._graphs) <= {"skeleton", "waypoint"}  # one waypoint graph at a time
+        assert sts._graphs["waypoint"][0] == (effective_refinement(sts, budget, refinement),)
+        seen.update({pk, qk, ("coincident", p == q), ("finite", want.value is not INF), ("cut", want.exhausted)})
+        seen.add(("warm", kept == sts._graphs["waypoint"][0]))
+        a, b = rnd.choice(sts.cubes[0]), rnd.choice(sts.cubes[0])
+        assert vertex_distance(sts, a, b) == vertex_distance(fresh(sts), a, b)
+    assert seen >= {*kinds, ("coincident", True), ("finite", True), ("finite", False), ("cut", True), ("warm", True), ("warm", False)}
+    # the skeleton beside a waypoint graph, on the same instances
+    for sts in sets:
+        for a in sts.cubes[0]:
+            for b in sts.cubes[0]:
+                assert vertex_distance(sts, a, b) == vertex_distance(fresh(sts), a, b)
+
+
+def test_a_pickled_set_answers_as_before():
+    rnd = random.Random(26)
+    for sts in (representable(2), two_squares(), grid((1, 2))):
+        queries = [
+            (query_point(rnd, sts, "rational"), query_point(rnd, sts, "face"), refinement)
+            for refinement in (0, 1, 1, 2, 0)
+        ]
+        before = [chain_distance_sample(sts, p, q, 4096, r) for p, q, r in queries]
+        vertices = [vertex_distance(sts, a, b) for a in sts.cubes[0] for b in sts.cubes[0]]
+        back = pickle.loads(pickle.dumps(sts))
+        assert back._graphs == sts._graphs
+        for (p, q, r), want in zip(reversed(queries), reversed(before)):
+            assert_same_bound(chain_distance_sample(back, p, q, 4096, r), want)
+        assert [vertex_distance(back, a, b) for a in back.cubes[0] for b in back.cubes[0]] == vertices
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -532,6 +532,42 @@ def test_segment_path_checks_match_their_fraction_reference():
             assert str(err.value) == want
 
 
+def ref_segment_path(dim, pairs):
+    """``segment_path`` as first written: a new ``Fraction`` from every value."""
+    return SegmentPath(dim, tuple((F(t), tuple(F(c) for c in pt)) for t, pt in pairs))
+
+
+class SubFraction(F):
+    """A ``Fraction`` subclass, which ``segment_path`` turns into a plain one."""
+
+
+def test_segment_path_matches_its_reference():
+    rnd = random.Random(37)
+    values = {
+        "int": (0, 1, 2, 3),
+        "fraction": (F(0), F(1, 3), F(1, 2), F(1), F(7, 4), SubFraction(1, 2)),
+        "str": ("0", "1/3", "1/2", "1", "7/4", "0.25", "x"),
+    }
+    values["mixed"] = values["int"] + values["fraction"] + values["str"] + (0.5,)
+    seen = set()
+    for _ in range(2000):
+        kind = rnd.choice(list(values))
+        dim = rnd.randint(0, 3)
+        pairs = [(rnd.choice(values[kind]), tuple(rnd.choice(values[kind]) for _ in range(dim)))
+                 for _ in range(rnd.randint(2, 4))]
+        try:
+            want = ref_segment_path(dim, pairs)
+        except (InputError, ValueError) as err:
+            with pytest.raises(type(err)) as got:
+                segment_path(dim, pairs)
+            assert str(got.value) == str(err)
+            seen.add((kind, False))
+            continue
+        assert same(segment_path(dim, pairs).breakpoints, want.breakpoints)
+        seen.add((kind, True))
+    assert seen == {(kind, ok) for kind in values for ok in (True, False)}
+
+
 def test_paths_refuse_inexact_coordinates():
     for bps in [
         ((0.0, (0.0,)), (1.0, (1.0,))),

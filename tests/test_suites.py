@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
@@ -8,10 +10,11 @@ import pytest
 from transcube import batch, suites
 from transcube.cube import INF, identity
 from transcube.geometry import ChainBound
-from transcube.paths import segment_path
+from transcube.paths import SegmentPath, is_dpath, naturalize, segment_path
 from transcube.reedy import LatchingComparison
 from transcube.sts import representable
 from transcube.suites import run_suite, suite_names
+from transcube.topo import d1_point
 
 
 def test_suite_roster():
@@ -137,3 +140,59 @@ def test_every_suite_reports_a_planted_fault(monkeypatch, name, target, fake):
     assert not report.ok and report.cases > 0
     assert any(line.startswith("fail ") for line in lines)
     assert lines[0] == f"suite={name} cases={report.cases} failures={len(report.failures)}"
+
+
+def reference_breakpointwise_quasi_isometry(p) -> bool:
+    """The check as first written: ``d1_point`` on every pair of breakpoints."""
+    bps = p.breakpoints
+    for i in range(len(bps)):
+        for j in range(i, len(bps)):
+            ti, xi = bps[i]
+            tj, xj = bps[j]
+            if d1_point(xi, xj) != tj - ti:
+                return False
+    return True
+
+
+def random_path(rnd, kind):
+    """A random path: int times and 0/1 coordinates for ``kind`` "int",
+    Fractions for "fraction", both for "mixed".  Most climb, some wander, and
+    about half are timed by height, so they are natural when they climb."""
+    dim = rnd.randint(1, 3)
+    den = 1 if kind == "int" else rnd.choice((2, 3, 4, 6, 12))
+    pts = [tuple(rnd.randint(0, den // 2) for _ in range(dim))]
+    for _ in range(rnd.randint(1, 4)):
+        if rnd.random() < 0.15:
+            pts.append(tuple(rnd.randint(0, den) for _ in range(dim)))
+        else:
+            pts.append(tuple(min(den, c + rnd.randint(0, 1 + den // 2)) for c in pts[-1]))
+    heights = [sum(pt) for pt in pts]
+    if rnd.random() < 0.5 and all(a < b for a, b in zip(heights, heights[1:])):
+        times = [h - heights[0] for h in heights]
+    else:
+        times = [0]
+        for _ in pts[1:]:
+            times.append(times[-1] + rnd.randint(1, 2 * den))
+
+    def value(num):
+        if kind == "int" or (kind == "mixed" and num % den == 0 and rnd.random() < 0.5):
+            return num // den if num % den == 0 else F(num, den)
+        return F(num, den)
+
+    return SegmentPath(dim, tuple((value(t), tuple(map(value, pt))) for t, pt in zip(times, pts)))
+
+
+def test_breakpointwise_quasi_isometry_matches_its_reference():
+    rnd = random.Random(24)
+    seen, counts = set(), {True: 0, False: 0}
+    for _ in range(1500):
+        kind = rnd.choice(("int", "fraction", "mixed"))
+        p = random_path(rnd, kind)
+        for candidate in (p, naturalize(p)) if is_dpath(p) else (p,):
+            want = reference_breakpointwise_quasi_isometry(candidate)
+            assert suites._breakpointwise_quasi_isometry(candidate) is want
+            seen.add((kind, want))
+            counts[want] += 1
+    assert seen == {(kind, answer) for kind in ("int", "fraction", "mixed") for answer in (True, False)}
+    assert min(counts.values()) > 400
+
