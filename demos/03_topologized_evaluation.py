@@ -38,7 +38,8 @@ print("fold at (1, 1/2, 1/4):", t_eval(fold, x))
 print("max-min:    ", t_eval_maxmin(fold, x))
 print("permutation:", t_eval_permutation(fold, x))
 
-# Non-endomaps evaluate through the factorization; cofaces insert constants.
+# Non-endomaps evaluate by the same formula, read off the same table: an
+# empty maximum is 0 and an empty minimum is 1, the constants a coface inserts.
 print("\ncoface insertion:", t_eval(coface(1, 0, 2), (F(1, 2),)))
 print(
     "composite:       ",

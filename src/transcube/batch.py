@@ -17,39 +17,28 @@ place, so no fancy-indexed copy of the points is made.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .cube import CubeMap
-from .homsets import factorize
+from .topo import _constant_ones
 
 
 def t_eval_batch(f: CubeMap, pts: np.ndarray, denominator: int = 1) -> np.ndarray:
     """Evaluate ``f`` on every row of an integer coordinate array.
 
     ``pts`` has shape ``(N, dom_dim)``; coordinates are numerators over the
-    common ``denominator`` (only used for the constant coordinates that a
-    non-endo map inserts).  Returns shape ``(N, cod_dim)``.
+    common ``denominator``, also the value of a coordinate held at 1.
+    Returns shape ``(N, cod_dim)``.
     """
     if pts.ndim != 2 or pts.shape[1] != f.dom_dim:
         raise ValueError(f"expected shape (N, {f.dom_dim}), got {pts.shape}")
-    if f.is_endo():
-        return _maxmin_batch(f, pts, np.empty_like(pts), range(f.cod_dim))
-    fac = factorize(f)
+    _constant_ones(f)  # charges a map into a larger cube
     out = np.empty((pts.shape[0], f.cod_dim), dtype=pts.dtype)
-    _maxmin_batch(fac.psi, pts, out, fac.free)
-    for _, i, alpha in fac.steps:
-        out[:, i - 1] = denominator * alpha
-    return out
-
-
-def _maxmin_batch(f: CubeMap, pts: np.ndarray, out: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Write max-min output coordinate ``i`` of the endomap ``f`` into column
-    ``positions[i]`` of ``out``, over the minimal preimage masks only."""
     scratch = np.empty(pts.shape[0], dtype=pts.dtype)
-    for pos, masks in zip(positions, f.minimal_preimages()):
-        col = out[:, pos]
+    for col, masks in zip(out.T, f.minimal_preimages()):
+        if not masks or not masks[0]:
+            col[...] = denominator if masks else 0
+            continue
         for j, mask in enumerate(masks):
             cols = [k for k in range(f.dom_dim) if (mask >> k) & 1]
             term = pts[:, cols[0]]

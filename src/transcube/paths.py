@@ -36,13 +36,10 @@ from typing import NamedTuple, Sequence
 
 from .cube import CubeMap, Frozen, InputError, Vertex, bits_leq, compose
 from .homsets import charge, coface_part, factorize, with_peak
-from .topo import common_numerators, point_height
+from .topo import _constant_ones, _walk, common_numerators, point_height
 
 Point = tuple[Fraction, ...]
 Breakpoint = tuple[Fraction, Point]
-
-#: The constant coordinates 0 and 1 as Fractions, shared by every mapped point.
-_FRACTION_BITS = (Fraction(0), Fraction(1))
 
 
 class SegmentPath(Frozen):
@@ -218,48 +215,18 @@ def transport(f: CubeMap, p: SegmentPath) -> SegmentPath:
 
     The cuts are found on integer numerators.  On each refined piece the
     order of the coordinates at its midpoint holds on the whole closed
-    piece, up to ties at its ends, so it fixes the permutation the
-    evaluation of :func:`transcube.topo.t_eval_permutation` walks; that
-    permutation, with the constant coordinates of the coface part of ``f``,
-    maps the piece's end.  Mapped input breakpoints keep their time and
-    coordinate objects, and the types are those of :func:`t_eval` at each
-    refined breakpoint.
+    piece, up to ties at its ends, so it fixes the order in which the walk
+    of :func:`transcube.topo.t_eval_permutation` switches the coordinates
+    on; that walk maps the piece's end.  Mapped input breakpoints keep
+    their time and coordinate objects, and the types are those of
+    :func:`transcube.topo.t_eval` at each refined breakpoint.
     """
     if p.dim != f.dom_dim:
         raise ValueError(f"path of dimension {p.dim} fed to map from [{f.dom_dim}]")
+    ones = _constant_ones(f)
     bps = p.breakpoints
     den, points, _ = common_numerators([pt for _, pt in bps])
     n = p.dim
-    if f.is_endo():
-        psi, free = f, range(n)
-        base = fraction_base = [None] * n
-    else:
-        fac = factorize(f)
-        psi, free = fac.psi, fac.free
-        base = [0] * f.cod_dim
-        for _, i, alpha in fac.steps:
-            base[i - 1] = alpha
-        fraction_base = [_FRACTION_BITS[c] for c in base]
-    table = psi.table
-
-    def image(pt: Sequence, key: list[int]) -> tuple:
-        # t_eval_permutation with the coordinates ordered by ``key``; the
-        # constant coordinates are Fractions when the point has one, as in
-        # t_eval.
-        out = base
-        for c in pt:
-            if isinstance(c, Fraction):
-                out = fraction_base
-                break
-        out = out[:]
-        mask = prev = 0
-        for k in sorted(range(n), key=key.__getitem__, reverse=True):
-            mask |= 1 << k
-            img = table[mask]
-            out[free[(img & ~prev).bit_length() - 1]] = pt[k]
-            prev = img
-        return tuple(out)
-
     mapped: list[Breakpoint] = []
     for s in range(len(bps) - 1):
         a, b = points[s], points[s + 1]
@@ -284,15 +251,16 @@ def transport(f: CubeMap, p: SegmentPath) -> SegmentPath:
             # The coordinates at the piece's midpoint, times 2 * scale.
             mid = lo + hi
             key = [(2 * scale - mid) * ai + mid * bi for ai, bi in zip(a, b)]
+            order = sorted(range(n), key=key.__getitem__, reverse=True)
             if not mapped:
-                mapped.append((bps[0][0], image(bps[0][1], key)))
+                mapped.append((bps[0][0], _walk(f, bps[0][1], order, ones)))
             if hi == scale:
                 t, pt = bps[s + 1]
             else:
                 t = Fraction((scale - hi) * t0 + hi * t1, scale * tden)
                 d = scale * den
                 pt = tuple([Fraction((scale - hi) * ai + hi * bi, d) for ai, bi in zip(a, b)])
-            mapped.append((t, image(pt, key)))
+            mapped.append((t, _walk(f, pt, order, ones)))
             lo = hi
     return _checked_path(f.cod_dim, tuple(mapped))
 

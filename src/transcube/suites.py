@@ -31,6 +31,7 @@ from .homsets import BudgetExceeded, composable_pairs, enumerate_cofaces, enumer
 from .paths import (
     DPath,
     SegmentPath,
+    _numerators,
     induced_path_map,
     is_natural,
     naturalize,
@@ -55,7 +56,7 @@ from .sts import (
     graded_counts_equal,
     representable,
 )
-from .topo import common_numerators, d1_point, d1_sym, d1_sym_witness, t_eval_maxmin, t_eval_permutation
+from .topo import d1_point, d1_sym, d1_sym_witness, t_eval_maxmin, t_eval_permutation
 
 DENOMINATOR = 2520  # divisible by 1..10, so sampled rationals stay friendly
 
@@ -281,8 +282,7 @@ def _distinct_runs(p) -> list:
 def _breakpointwise_quasi_isometry(p) -> bool:
     """Whether every pair of breakpoints, earlier first, lies as far apart in
     the directed metric as in time; compared on integer numerators."""
-    bps = p.breakpoints
-    _, (times, *points), _ = common_numerators([[t for t, _ in bps], *[pt for _, pt in bps]])
+    _, (times, *points), _ = _numerators(p.breakpoints)
     heights = [sum(pt) for pt in points]
     for i, (ti, xi, hi) in enumerate(zip(times, points, heights)):
         for tj, xj, hj in zip(times[i:], points[i:], heights[i:]):

@@ -1,12 +1,15 @@
 """Exact evaluation of topologized cube maps on rational points.
 
-A cotransverse endomap ``f`` of ``[n]`` extends to the solid cube
-``[0,1]^n`` by the max-min formula: output coordinate ``i`` is the maximum,
-over the source vertices whose image has coordinate ``i`` equal to 1, of
-the minimum of the point coordinates selected by that vertex.  On vertices
+A cotransverse map ``f: [m] -> [n]`` extends to the solid cubes
+``[0,1]^m -> [0,1]^n`` by the max-min formula: output coordinate ``i`` is
+the maximum, over the source vertices whose image has coordinate ``i``
+equal to 1, of the minimum of the point coordinates selected by that
+vertex.  An empty maximum is 0 and an empty minimum is 1, so a coordinate
+no vertex reaches is constant 0 and one the bottom vertex already reaches
+is constant 1: these are the coordinates a coface inserts.  On vertices
 this recovers ``f`` itself; on the whole cube it is continuous, strictly
-increasing, preserves the coordinate sum and preserves all finite directed
-L1 distances.
+increasing, raises the coordinate sum by the height of ``f.table[0]`` and
+preserves all finite directed L1 distances.
 
 A cotransverse map is monotone, so the source vertices whose image has
 coordinate ``i`` equal to 1 form an up-set: the up-closure of its minimal
@@ -15,18 +18,19 @@ larger, so the maximum over the whole up-set equals the maximum over its
 minimal vertices alone (:meth:`CubeMap.minimal_preimages`); on the
 endomaps of ``[4]`` that is 9.6 masks instead of 32 on average.
 
-Two independent evaluators are provided.  :func:`t_eval_maxmin` computes
-the formula over the minimal vertices; the tests hold it against the
-literal all-vertices formula.  :func:`t_eval_permutation` sorts the
-coordinates in descending order and reads the output permutation off the
-images of the corresponding chain of vertices; the two must agree exactly
-on every input.  Both use comparisons only, so they work verbatim on
-``Fraction`` coordinates and on integer coordinates over an implicit common
-denominator.
-
-Maps between cubes of different dimensions are evaluated through the unique
-coface/endo factorization: run the endomap part, then insert the constant
-coordinates of the coface part.
+Two independent evaluators are provided.  :func:`t_eval_maxmin` (also
+:func:`t_eval`) computes the formula over the minimal vertices; the tests
+hold it against the literal all-vertices formula.
+:func:`t_eval_permutation` sorts the coordinates in descending order and
+reads the output permutation off the images of the corresponding chain of
+vertices; the two must agree exactly on every input.  Neither factorizes:
+both read the constant coordinates off the table, after charging a map
+into a larger cube its ``n`` coordinates, as its factorization is.  Both
+use comparisons only, so they work verbatim on ``Fraction`` coordinates.
+A constant is the int 0 or 1 unless the point has a ``Fraction``
+coordinate, so integer coordinates over an implicit denominator are exact
+for endomaps only; scaled points of other maps go through
+:func:`transcube.batch.t_eval_batch` with their ``denominator``.
 
 The directed metric sums and compares plain integers.
 :func:`common_numerators` writes a group of points over one common
@@ -47,7 +51,7 @@ from operator import le, sub
 from typing import Sequence, TypeVar
 
 from .cube import INF, CubeMap, InputError
-from .homsets import factorize
+from .homsets import charge
 
 Coord = TypeVar("Coord", Fraction, int)
 
@@ -58,16 +62,18 @@ def _check_point(f: CubeMap, x: Sequence) -> None:
 
 
 def t_eval_maxmin(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
-    """Max-min evaluation of an endomap at a point; exact, no tolerances.
-
-    The maximum runs over the minimal preimage masks only, which gives the
-    same value as the literal formula (see the module docstring).
-    """
-    if not f.is_endo():
-        raise ValueError("max-min evaluation is defined for endomaps; use t_eval")
+    """Max-min evaluation of any cotransverse map at a point; exact, no
+    tolerances.  The maximum runs over the minimal preimage masks only (see
+    the module docstring); an empty maximum is 0, and the minimum over the
+    empty mask is 1."""
+    if _constant_ones(f) is not None:  # charges a map into a larger cube
+        zero, one = _constants_like(x)
     _check_point(f, x)
     out = []
     for masks in f.minimal_preimages():
+        if not masks or not masks[0]:  # never for an endomap: it fixes the bottom and the top
+            out.append(one if masks else zero)
+            continue
         best = None
         for mask in masks:
             m = mask
@@ -81,60 +87,64 @@ def t_eval_maxmin(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
                 m &= m - 1
             if best is None or low > best:
                 best = low
-        # Endomaps send the top vertex to the top vertex, so every output
-        # coordinate has a nonempty preimage and best is set.
         out.append(best)
     return tuple(out)
 
 
 def t_eval_permutation(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
-    """Chain-of-sorted-coordinates evaluation of an endomap.
-
-    Sort the coordinates in descending order (ties keep the smaller index
-    first), walk the chain of vertices obtained by switching them on one at
-    a time, and record in which order the image vertices acquire their
-    coordinates.  The output is the input permuted accordingly.
-    """
-    if not f.is_endo():
-        raise ValueError("permutation evaluation is defined for endomaps; use t_eval")
+    """Chain-of-sorted-coordinates evaluation of any cotransverse map: the
+    walk of :func:`_walk` with the coordinates in descending order (ties
+    keep the smaller index first)."""
+    ones = _constant_ones(f)
     _check_point(f, x)
-    n = f.dom_dim
-    order = sorted(range(n), key=x.__getitem__, reverse=True)  # stable: ties by index
-    out: list[Coord] = [x[0]] * n
-    mask = 0
-    prev = 0
+    return _walk(f, x, sorted(range(f.dom_dim), key=x.__getitem__, reverse=True), ones)
+
+
+t_eval = t_eval_maxmin
+
+
+def _constant_ones(f: CubeMap) -> tuple[int, ...] | None:
+    """The output coordinates ``f`` holds at 1, the bits of ``f.table[0]``,
+    or ``None`` for an endomap, which holds none.  A map into a larger cube
+    is charged its ``cod_dim`` coordinates first, as its factorization is."""
+    if f.dom_dim == f.cod_dim:
+        return None
+    charge(f.cod_dim, "evaluating %s", f)
+    base = f.table[0]
+    return tuple([i for i in range(base.bit_length()) if (base >> i) & 1])
+
+
+def _walk(f: CubeMap, x: Sequence[Coord], order: Sequence[int], ones: tuple[int, ...] | None) -> tuple[Coord, ...]:
+    """Switch the coordinates of ``x`` on in ``order``, from the bottom
+    vertex, and write ``x[k]`` to the output coordinate that the image of
+    the chain gains at coordinate ``k``.  Every other output coordinate is
+    constant: 1 at ``ones`` (see :func:`_constant_ones`), 0 elsewhere."""
+    if ones is None:
+        out = [None] * f.cod_dim
+    else:
+        zero, one = _constants_like(x)
+        out = [zero] * f.cod_dim
+        for i in ones:
+            out[i] = one
+    table = f.table
+    mask, prev = 0, table[0]
     for k in order:
         mask |= 1 << k
-        img = f.table[mask]
-        new = img & ~prev
-        out[new.bit_length() - 1] = x[k]
+        img = table[mask]
+        out[(img & ~prev).bit_length() - 1] = x[k]
         prev = img
     return tuple(out)
 
 
-def t_eval(f: CubeMap, x: Sequence[Coord]) -> tuple[Coord, ...]:
-    """Evaluate any cotransverse map on a point of its source cube.
-
-    Endomaps use the max-min formula directly.  Otherwise the coface part of
-    the factorization contributes constant coordinates (0 or 1 per inserted
-    coordinate), so the empty-preimage corner of the formula never arises.
-    """
-    if f.is_endo():
-        return t_eval_maxmin(f, x)
-    fac = factorize(f)
-    zero, one = _constants_like(x)
-    out = [zero] * f.cod_dim
-    for pos, c in zip(fac.free, t_eval_maxmin(fac.psi, x)):  # checks the point
-        out[pos] = c
-    for _, i, alpha in fac.steps:
-        if alpha:
-            out[i - 1] = one
-    return tuple(out)
+_FRACTION_CONSTANTS = (Fraction(0), Fraction(1))
 
 
 def _constants_like(x: Sequence) -> tuple:
-    if any(isinstance(c, Fraction) for c in x):
-        return Fraction(0), Fraction(1)
+    """The constants 0 and 1 as a point's coordinates: Fractions when any
+    coordinate of ``x`` is one, ints otherwise."""
+    for c in x:
+        if isinstance(c, Fraction):
+            return _FRACTION_CONSTANTS
     return 0, 1
 
 

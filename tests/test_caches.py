@@ -5,17 +5,23 @@ warm or cold, and is bounded."""
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import transcube
 from transcube import homsets, paths, reedy, sts
+from transcube.batch import t_eval_batch
 from transcube.cube import CubeMap, Vertex, compose
 from transcube.geometry import PointPresentation, chain_distance_sample, vertex_distance
 from transcube.homsets import BudgetExceeded, enumerate_homset, factorize, set_cell_budget
-from transcube.paths import induced_coface, induced_path_map
+from transcube.paths import induced_coface, induced_path_map, segment_path, transport
 from transcube.reedy import boundary_hom, boundary_weight
 from transcube.sts import (
     FreeCell,
@@ -28,6 +34,7 @@ from transcube.sts import (
     free_sts,
     representable,
 )
+from transcube.topo import t_eval, t_eval_permutation
 
 
 def reference_free_sts(k: Precubical) -> Sts:
@@ -277,6 +284,42 @@ def test_warm_induced_path_map_charges_as_a_cold_one():
     warm = _smallest_budget(call, lambda: None)
     assert warm == 3
     assert _smallest_budget(call, paths._induced_maps.cache_clear) == warm
+
+
+def test_evaluation_charges_as_factorize_did(tmp_path):
+    # a map into a larger cube is charged its target's coordinates, as its
+    # factorization was, by both evaluators, the batch and transport; an
+    # endomap is charged nothing
+    for literal, least in (("1>2:0,1", 2), ("2>2:0,2,1,3", 0)):
+        f = CubeMap.from_literal(literal)
+        m = f.dom_dim
+        x = (Fraction(1, 3),) * m
+        pts = np.array([[1] * m, [2] * m], dtype=np.int64)
+        p = segment_path(m, [(0, (0,) * m), (1, (Fraction(1, 2),) * m), (2, (1,) * m)])
+        for call in (
+            lambda: t_eval(f, x),
+            lambda: t_eval_permutation(f, x),
+            lambda: t_eval_batch(f, pts, 3),
+            lambda: transport(f, p),
+        ):
+            assert _smallest_budget(call, factorize.cache_clear) == least
+    # transport along a map into a huge cube is refused before any coordinate
+    # is listed, in a child whose address space is capped at 1 GiB; the
+    # message names the map only
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"legs": [{"cube": 0, "dim": 1, "breakpoints": [["0", "0"], ["1", "1"]]}]}))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(transcube.__file__)))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        "from transcube.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["dpath", "transport", "--input", str(path), "--map", "1>100000000000:0,1"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "budget: evaluating 1>100000000000:0,1 needs 100000000000 cells, over the budget of 10000000\n"
+    )
 
 
 def test_generating_family_charges_warm_and_cold_alike():

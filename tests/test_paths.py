@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from transcube.cube import InputError, Vertex, compose, coface, max_min_collapse, symmetry
-from transcube.homsets import enumerate_homset
+from transcube.homsets import enumerate_homset, factorize
 from transcube.paths import (
     DPath,
     DPathReport,
@@ -24,7 +25,7 @@ from transcube.paths import (
     validate_dpath,
 )
 from transcube.sts import Precubical, free_sts
-from transcube.topo import d1_point, t_eval
+from transcube.topo import common_numerators, d1_point, t_eval
 
 
 def diagonal(dim: int, duration=1) -> "SegmentPath":
@@ -578,3 +579,98 @@ def test_paths_refuse_inexact_coordinates():
             SegmentPath(1, bps)
     # segment_path coerces through Fraction, as before
     assert segment_path(1, [(0.0, (0.0,)), (1.0, (1.0,))]) == diagonal(1)
+
+
+# -- The factorizing transport --------------------------------------------------
+#
+# Before the permutation walk read a map's constant coordinates off its table,
+# transport walked the endomap part of the factorization and copied the
+# constants of its coface part from a base row, one of ints and one of
+# Fractions.  The body below is that code; the walk must give the same
+# breakpoints, objects and types included.
+
+REF_FRACTION_BITS = (F(0), F(1))
+
+
+def ref_transport_through_factorization(f, p):
+    """The breakpoints of the image path, as the factorizing transport built them."""
+    bps = p.breakpoints
+    den, points, _ = common_numerators([pt for _, pt in bps])
+    n = p.dim
+    if f.is_endo():
+        psi, free = f, range(n)
+        base = fraction_base = [None] * n
+    else:
+        fac = factorize(f)
+        psi, free = fac.psi, fac.free
+        base = [0] * f.cod_dim
+        for _, i, alpha in fac.steps:
+            base[i - 1] = alpha
+        fraction_base = [REF_FRACTION_BITS[c] for c in base]
+    table = psi.table
+
+    def image(pt, key):
+        out = base
+        for c in pt:
+            if isinstance(c, F):
+                out = fraction_base
+                break
+        out = out[:]
+        mask = prev = 0
+        for k in sorted(range(n), key=key.__getitem__, reverse=True):
+            mask |= 1 << k
+            img = table[mask]
+            out[free[(img & ~prev).bit_length() - 1]] = pt[k]
+            prev = img
+        return tuple(out)
+
+    mapped = []
+    for s in range(len(bps) - 1):
+        a, b = points[s], points[s + 1]
+        lams = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                da = a[i] - a[j]
+                db = b[i] - b[j]
+                if da * db < 0:
+                    lams.add((abs(da), abs(da - db)))
+        if lams:
+            scale = lcm(*[q for _, q in lams])
+            ends = sorted({scale, *[num * (scale // q) for num, q in lams]})
+            tden, ((t0, t1),), _ = common_numerators(((bps[s][0], bps[s + 1][0]),))
+        else:
+            scale, ends = 1, (1,)
+        lo = 0
+        for hi in ends:
+            mid = lo + hi
+            key = [(2 * scale - mid) * ai + mid * bi for ai, bi in zip(a, b)]
+            if not mapped:
+                mapped.append((bps[0][0], image(bps[0][1], key)))
+            if hi == scale:
+                t, pt = bps[s + 1]
+            else:
+                t = F((scale - hi) * t0 + hi * t1, scale * tden)
+                d = scale * den
+                pt = tuple([F((scale - hi) * ai + hi * bi, d) for ai, bi in zip(a, b)])
+            mapped.append((t, image(pt, key)))
+            lo = hi
+    return tuple(mapped)
+
+
+def test_transport_matches_the_factorizing_reference():
+    # every map into [n <= 3] on the first 120 sampled paths, and 4 sampled
+    # maps into [4] on each of them
+    rnd = random.Random(67)
+    kinds = {"int": 0, "fraction": 0, "mixed": 0}
+    lifted = 0
+    for count, (kind, p) in enumerate(sampled_paths()):
+        maps = rnd.sample(enumerate_homset(p.dim, 4), 4)
+        if count < 120:
+            maps += [f for n in range(p.dim, 4) for f in enumerate_homset(p.dim, n)]
+        for f in maps:
+            got = transport(f, p)
+            assert got.dim == f.cod_dim
+            assert same(got.breakpoints, ref_transport_through_factorization(f, p))
+            kinds[kind] += 1
+            lifted += f.table[0] != 0
+    assert min(kinds.values()) > 300 and lifted > 500

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transcube import batch
-from transcube.cube import INF, InputError, coface, compose, max_min_collapse, symmetry
-from transcube.homsets import enumerate_homset
+from transcube.cube import INF, CubeMap, InputError, coface, compose, identity, max_min_collapse, symmetry
+from transcube.homsets import enumerate_homset, factorize
 from transcube.topo import (
     common_numerators,
     d1_point,
@@ -395,3 +395,118 @@ def test_metric_refuses_inexact_coordinates(fn):
             fn(x, y)
     with pytest.raises(ValueError, match="dimension mismatch"):  # checked first, as before
         fn((0.5,), (0.5, 0.5))
+
+
+# -- Factorizing references for the evaluation of every map -------------------
+#
+# Before the evaluators read a map's constant coordinates off its table, a map
+# into a larger cube was evaluated through its factorization: its endomap part
+# by max-min, then the constants of its coface part inserted by hand.  The
+# bodies below are that code; the table-reading evaluators must give the same
+# values of the same types.
+
+
+def ref_constants_like(x):
+    if any(isinstance(c, F) for c in x):
+        return F(0), F(1)
+    return 0, 1
+
+
+def ref_t_eval(f, x):
+    """``t_eval`` through the factorization of ``f``."""
+    if f.is_endo():
+        return t_eval_maxmin(f, x)
+    fac = factorize(f)
+    zero, one = ref_constants_like(x)
+    out = [zero] * f.cod_dim
+    for pos, c in zip(fac.free, t_eval_maxmin(fac.psi, x)):
+        out[pos] = c
+    for _, i, alpha in fac.steps:
+        if alpha:
+            out[i - 1] = one
+    return tuple(out)
+
+
+def ref_t_eval_batch(f, pts, denominator):
+    """The non-endomap branch of ``t_eval_batch``: the endomap part written
+    into the free columns, then the constant columns."""
+    fac = factorize(f)
+    out = np.empty((pts.shape[0], f.cod_dim), dtype=pts.dtype)
+    out[:, list(fac.free)] = batch.t_eval_batch(fac.psi, pts, denominator)
+    for _, i, alpha in fac.steps:
+        out[:, i - 1] = denominator * alpha
+    return out
+
+
+def every_map_and_some_into_4():
+    """Every map ``[m] -> [n]`` with ``n <= 3``, then 40 sampled maps into
+    ``[4]`` from each source dimension."""
+    rnd = random.Random(53)
+    for n in range(4):
+        for m in range(n + 1):
+            yield from enumerate_homset(m, n)
+    for m in range(5):
+        maps = enumerate_homset(m, 4)
+        yield from rnd.sample(maps, min(40, len(maps)))
+
+
+def exact_point(rnd, m, kind):
+    """A point of ``[m]``: ``"int"`` numerators up to 12, ``"fraction"``
+    Fractions, or ``"mixed"`` Fractions with some integral ones as ints."""
+    if kind == "int":
+        return tuple(rnd.randint(0, 12) for _ in range(m))
+    out = []
+    for _ in range(m):
+        den = rnd.choice((1, 2, 3, 4, 12, 2520))
+        c = F(rnd.randint(0, den), den)
+        out.append(int(c) if kind == "mixed" and c.denominator == 1 and rnd.random() < 0.5 else c)
+    return tuple(out)
+
+
+def test_both_evaluators_handle_the_point_of_0():
+    # the empty point of [0]: the identity gives it back, and a map into [2]
+    # reads both coordinates off its only table entry
+    for fn in (t_eval, t_eval_maxmin, t_eval_permutation):
+        assert fn(identity(0), ()) == ()
+        assert same(fn(CubeMap.from_literal("0>2:1"), ()), (1, 0))
+
+
+def test_evaluators_match_the_factorizing_reference():
+    rnd = random.Random(59)
+    kinds = {"int": 0, "fraction": 0, "mixed": 0}
+    maps = lifted = 0
+    for f in every_map_and_some_into_4():
+        maps += 1
+        lifted += f.table[0] != 0
+        for _ in range(6):
+            kind = rnd.choice(tuple(kinds))
+            x = exact_point(rnd, f.dom_dim, kind)
+            kinds[kind] += 1
+            want = ref_t_eval(f, x)
+            assert same(t_eval(f, x), want) and same(t_eval_maxmin(f, x), want)
+            if kind == "mixed":  # a tie of 1 and Fraction(1) may route either object
+                assert t_eval_permutation(f, x) == want
+            else:
+                assert same(t_eval_permutation(f, x), want)
+    assert maps > 250 and lifted > 100 and min(kinds.values()) > 300
+
+
+def test_batch_matches_the_factorizing_reference():
+    rng = np.random.default_rng(61)
+    for f in every_map_and_some_into_4():
+        if f.is_endo():
+            continue
+        for denominator in (1, 12):
+            pts = batch.random_points(rng, f.dom_dim, 16, denominator)
+            got = batch.t_eval_batch(f, pts, denominator)
+            assert got.dtype == pts.dtype and np.array_equal(got, ref_t_eval_batch(f, pts, denominator))
+
+
+def test_evaluators_agree_on_every_map_on_the_quarters_grid():
+    quarters = [F(k, 4) for k in range(5)]
+    for n in range(4):
+        for m in range(n + 1):
+            points = [tuple(quarters[k] for k in c) for c in np.ndindex(*(5,) * m)]
+            for f in enumerate_homset(m, n):
+                for x in points:
+                    assert t_eval_maxmin(f, x) == t_eval_permutation(f, x)
